@@ -14,7 +14,6 @@ import (
 
 	"lasthop"
 	"lasthop/internal/dist"
-	"lasthop/internal/journal"
 	"lasthop/internal/msg"
 	"lasthop/internal/sim"
 )
@@ -295,36 +294,6 @@ func BenchmarkProxyManyTopics(b *testing.B) {
 			if err := proxy.Read(lasthop.ReadRequest{Topic: topic, N: 8}); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkJournalAppend measures the durable proxy's write-ahead cost.
-func BenchmarkJournalAppend(b *testing.B) {
-	path := b.TempDir() + "/bench.journal"
-	j, err := lasthop.OpenJournal(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer j.Close()
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	clock := lasthop.NewVirtualClock(start)
-	proxy := lasthop.NewProxy(clock, nopForwarder{})
-	rec := journal.NewRecorder(clock, proxy, j)
-	if err := rec.AddTopic(lasthop.BufferConfig("t", 8, 16)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := rec.Notify(&lasthop.Notification{
-			ID:        lasthop.ID(fmt.Sprintf("n%d", i)),
-			Topic:     "t",
-			Rank:      1,
-			Published: start,
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1,14 +1,10 @@
-// Command lasthop-journal inspects and maintains the last hop's durable
-// state: -dump lists a proxy journal's entries, -compact rewrites the
-// journal to the entries that still determine proxy state (run it while
-// the proxy is stopped), and -spool inspects a multi-tenant host's
-// hibernation spool — listing every spooled session with its queue
-// depths, or, with -verify, checksum-verifying every record.
+// Command lasthop-journal inspects the proxy host's durable state, the
+// write-ahead spool (lasthop-proxy -spool-dir): it lists every spooled
+// session with its topics, Figure 7 queue depths and replay backlog, or,
+// with -verify, checksum-verifies every record.
 //
 // Examples:
 //
-//	lasthop-journal -dump proxy.journal
-//	lasthop-journal -compact proxy.journal
 //	lasthop-journal -spool /var/lib/lasthop/spool
 //	lasthop-journal -spool /var/lib/lasthop/spool -verify
 package main
@@ -23,7 +19,6 @@ import (
 	"time"
 
 	"lasthop/internal/core"
-	"lasthop/internal/journal"
 	"lasthop/internal/spool"
 )
 
@@ -36,49 +31,19 @@ func main() {
 
 func run() error {
 	var (
-		dump     = flag.String("dump", "", "journal file to list")
-		compact  = flag.String("compact", "", "journal file to compact in place")
 		spoolDir = flag.String("spool", "", "host spool directory to inspect (the -spool-dir of lasthop-proxy, or one worker-N subdirectory)")
-		verify   = flag.Bool("verify", false, "with -spool: checksum-verify every record instead of listing sessions")
+		verify   = flag.Bool("verify", false, "checksum-verify every record instead of listing sessions")
 	)
 	flag.Parse()
 
-	switch {
-	case *spoolDir != "":
-		if *verify {
-			return verifySpool(*spoolDir)
-		}
-		return listSpool(*spoolDir)
-	case *dump != "":
-		count := 0
-		err := journal.ReadAllOpts(*dump, warnf, func(e journal.Entry) error {
-			count++
-			fmt.Printf("%s  %-12s  %s\n", e.At.Format(time.RFC3339), e.Kind, describe(e))
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d entries\n", count)
-		return nil
-	case *compact != "":
-		before := 0
-		if err := journal.ReadAll(*compact, func(journal.Entry) error {
-			before++
-			return nil
-		}); err != nil {
-			return err
-		}
-		kept, err := journal.Compact(*compact, time.Now())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("compacted %s: %d -> %d entries\n", *compact, before, kept)
-		return nil
-	default:
+	if *spoolDir == "" {
 		flag.Usage()
-		return fmt.Errorf("one of -dump, -compact, or -spool is required")
+		return fmt.Errorf("-spool is required")
 	}
+	if *verify {
+		return verifySpool(*spoolDir)
+	}
+	return listSpool(*spoolDir)
 }
 
 func warnf(format string, args ...any) {
@@ -230,23 +195,4 @@ func verifySpool(dir string) error {
 		return fmt.Errorf("verification found unreadable segments")
 	}
 	return nil
-}
-
-func describe(e journal.Entry) string {
-	switch e.Kind {
-	case journal.KindAddTopic:
-		return fmt.Sprintf("topic=%s policy=%s", e.TopicConfig.Name, e.TopicConfig.Policy)
-	case journal.KindRemoveTopic:
-		return "topic=" + e.TopicName
-	case journal.KindNotify:
-		return fmt.Sprintf("id=%s rank=%.2f", e.Notification.ID, e.Notification.Rank)
-	case journal.KindRankUpdate:
-		return fmt.Sprintf("id=%s rank=%.2f", e.Update.ID, e.Update.NewRank)
-	case journal.KindRead:
-		return fmt.Sprintf("topic=%s n=%d queue=%d", e.Read.Topic, e.Read.N, e.Read.QueueSize)
-	case journal.KindNetwork:
-		return fmt.Sprintf("up=%v", *e.NetworkUp)
-	default:
-		return ""
-	}
 }

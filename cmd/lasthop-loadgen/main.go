@@ -1,15 +1,14 @@
 // Command lasthop-loadgen measures end-to-end notification throughput
 // through a real broker → proxy → device topology: P publisher
 // connections push a configurable volume through an in-process broker
-// server, last-hop proxies forward across TCP — one per device, or a
-// single multi-tenant host carrying every session — and the run reports
-// publish and delivery rates as JSON.
+// server, one proxy host carrying every device session forwards across
+// TCP, and the run reports publish and delivery rates as JSON.
 //
 // Examples:
 //
 //	lasthop-loadgen -publishers 8 -devices 16 -n 20000
 //	lasthop-loadgen -devices 4 -on-demand -payload 512 -out run.json
-//	lasthop-loadgen -multi-tenant -devices 1000 -topics 100 -n 50000
+//	lasthop-loadgen -devices 1000 -topics 100 -n 50000
 //	lasthop-loadgen -recovery -devices 10000 -topics 500 -n 100000 -spool-dir /tmp/spool
 //
 // With -recovery the run becomes the kill/restart chaos drill: every
@@ -59,10 +58,9 @@ func run() error {
 		histLimit  = flag.Int("history-limit", 0, "per-subscription retained history bound; delivered notifications stay pooled until evicted (0 = core default 131072, negative = unbounded)")
 		payload    = flag.Int("payload", 128, "payload bytes per notification")
 		onDemand   = flag.Bool("on-demand", false, "consume with READ requests instead of on-line pushes")
-		multi      = flag.Bool("multi-tenant", false, "run every device against one shared host instead of one proxy per device")
-		hostWk     = flag.Int("host-workers", 0, "host worker count in multi-tenant mode (0 = GOMAXPROCS)")
-		recovery   = flag.Bool("recovery", false, "run the kill/restart chaos drill instead of a plain throughput run (implies -multi-tenant -on-demand)")
-		spoolDir   = flag.String("spool-dir", "", "hibernation spool directory for the multi-tenant host (empty = hibernation off; -recovery uses a temp dir)")
+		hostWk     = flag.Int("host-workers", 0, "host worker count (0 = GOMAXPROCS)")
+		recovery   = flag.Bool("recovery", false, "run the kill/restart chaos drill instead of a plain throughput run (implies -on-demand)")
+		spoolDir   = flag.String("spool-dir", "", "write-ahead spool directory for the host (empty = spool off; -recovery uses a temp dir)")
 		hibAfter   = flag.Duration("hibernate-after", 0, "spool disconnected sessions after this long (0 = default)")
 		commitEv   = flag.Duration("spool-commit-every", 0, "spool group-commit interval (0 = default)")
 		spoolFsync = flag.String("spool-fsync", "", "spool fsync policy: always, commit, or never (empty = commit)")
@@ -105,7 +103,6 @@ func run() error {
 		HistoryLimit:     *histLimit,
 		PayloadBytes:     *payload,
 		OnDemand:         *onDemand,
-		MultiTenant:      *multi,
 		HostWorkers:      *hostWk,
 		SpoolDir:         *spoolDir,
 		HibernateAfter:   *hibAfter,

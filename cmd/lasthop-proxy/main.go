@@ -1,25 +1,24 @@
-// Command lasthop-proxy runs the last-hop proxy as a network service: it
-// subscribes upstream to a broker on behalf of one mobile device and
-// accepts the device's connection downstream. While the device is
-// disconnected the proxy spools notifications exactly as during a
-// simulated network outage.
+// Command lasthop-proxy runs the last-hop proxy host as a network
+// service: it subscribes upstream to a broker and serves any number of
+// devices on one listener — one device is simply a one-session host. Each
+// device session runs the paper's Figure 7 proxy; sessions shard across
+// -workers event-loop workers (each with its own timing wheel), and all
+// upstream traffic shares one multiplexed broker connection. While a
+// device is disconnected its session spools notifications exactly as
+// during a simulated network outage.
 //
-// With -multi-tenant it instead runs a proxy host serving any number of
-// devices on one listener: sessions shard across -workers event-loop
-// workers (each with its own timing wheel) and all upstream traffic
-// shares one multiplexed broker connection. With -spool-dir the host
-// hibernates disconnected sessions onto a checksummed write-ahead spool
-// and recovers every spooled session on restart, even after SIGKILL.
+// With -spool-dir the host is durable: every session's upstream arrivals
+// are written ahead to a checksummed spool, disconnected sessions
+// hibernate onto it, and a restart recovers every session, even after
+// SIGKILL. Inspect the spool with lasthop-journal -spool.
 //
 // Examples:
 //
 //	lasthop-proxy -broker localhost:7470 -listen :7471 -name alice-proxy -obs-addr :9471
-//	lasthop-proxy -multi-tenant -broker localhost:7470 -listen :7471 -name edge-host
-//	lasthop-proxy -multi-tenant -spool-dir /var/lib/lasthop/spool -hibernate-after 30s -name edge-host
+//	lasthop-proxy -spool-dir /var/lib/lasthop/spool -hibernate-after 30s -name edge-host
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -49,7 +48,6 @@ func run() error {
 		broker       = flag.String("broker", "localhost:7470", "upstream broker address")
 		listen       = flag.String("listen", ":7471", "device-facing listen address")
 		name         = flag.String("name", "proxy", "proxy (subscriber) name at the broker")
-		journalPath  = flag.String("journal", "", "journal file for durable proxy state (empty = volatile)")
 		reconnect    = flag.Bool("reconnect", true, "reconnect to the broker with backoff when the link dies")
 		backoffInit  = flag.Duration("backoff-initial", 100*time.Millisecond, "initial broker reconnect backoff")
 		backoffMax   = flag.Duration("backoff-max", 15*time.Second, "maximum broker reconnect backoff")
@@ -57,10 +55,9 @@ func run() error {
 		devReadTO    = flag.Duration("device-read-timeout", 0, "max silence tolerated on the device connection (0 = unlimited)")
 		devWriteTO   = flag.Duration("device-write-timeout", 10*time.Second, "max time for one write to the device (0 = unlimited)")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "max time for one write to the broker (0 = unlimited)")
-		multi        = flag.Bool("multi-tenant", false, "serve many device sessions as one proxy host instead of a single-device proxy")
-		workers      = flag.Int("workers", 0, "multi-tenant event-loop workers (0 = GOMAXPROCS)")
-		wheelTick    = flag.Duration("wheel-tick", 10*time.Millisecond, "multi-tenant timing-wheel resolution")
-		spoolDir     = flag.String("spool-dir", "", "multi-tenant hibernation spool directory: disconnected sessions serialize here and survive kill/restart (empty = sessions stay in memory)")
+		workers      = flag.Int("workers", 0, "event-loop workers (0 = GOMAXPROCS)")
+		wheelTick    = flag.Duration("wheel-tick", 10*time.Millisecond, "timing-wheel resolution")
+		spoolDir     = flag.String("spool-dir", "", "write-ahead spool directory: session arrivals are written ahead here, disconnected sessions hibernate here, and everything survives kill/restart (empty = volatile, sessions stay in memory)")
 		hibAfter     = flag.Duration("hibernate-after", time.Minute, "spool a disconnected session after this long")
 		segBytes     = flag.Int64("spool-segment-bytes", 0, "roll spool segments at this size (0 = default)")
 		commitEvery  = flag.Duration("spool-commit-every", 100*time.Millisecond, "spool group-commit interval")
@@ -138,77 +135,38 @@ func run() error {
 		WriteTimeout:      *writeTimeout,
 	}
 
-	if *multi {
-		if *journalPath != "" {
-			return errors.New("-journal is not supported in -multi-tenant mode (use -spool-dir)")
-		}
-		fsync, err := spool.ParseFsyncPolicy(*spoolFsync)
-		if err != nil {
-			return err
-		}
-		h, err := host.New(host.Options{
-			BrokerAddr:           *broker,
-			Name:                 *name,
-			Workers:              *workers,
-			WheelTick:            *wheelTick,
-			Upstream:             upstream,
-			DeviceReadTimeout:    *devReadTO,
-			DeviceWriteTimeout:   *devWriteTO,
-			SpoolDir:             *spoolDir,
-			HibernateAfter:       *hibAfter,
-			SpoolSegmentBytes:    *segBytes,
-			SpoolFsync:           fsync,
-			SpoolCommitEvery:     *commitEvery,
-			SpoolCompactSegments: *compactSegs,
-			Logf:                 logf,
-			Metrics:              wm,
-			Trace:                collector,
-		})
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		h.RegisterMetrics(reg, *name)
-		// Worker heartbeats and spool group-commit stalls; generous bounds
-		// so only a genuine wedge (not load) trips. The watchdog closes
-		// before the host does (defers unwind in reverse), so shutdown
-		// cannot masquerade as a stall.
-		watchdog.Register(h.Probes(5*time.Second, 10**commitEvery+5*time.Second)...)
-		if *obsAddr != "" {
-			osrv, err := obs.Serve(*obsAddr, reg,
-				obs.Route{Pattern: "/debug/traces", Handler: collector.Handler()},
-				obs.Route{Pattern: "/debug/flight/dump", Handler: flight.DumpHandler(bundleOpts)})
-			if err != nil {
-				return err
-			}
-			defer func() { _ = osrv.Close() }()
-			logger.Info("observability endpoint up", "component", "host", "addr", osrv.Addr())
-		}
-		lis, err := net.Listen("tcp", *listen)
-		if err != nil {
-			return err
-		}
-		logger.Info("serving", "component", "host", "name", *name,
-			"broker", *broker, "addr", lis.Addr().String(), "workers", h.Workers())
-		return h.Serve(lis)
+	fsync, err := spool.ParseFsyncPolicy(*spoolFsync)
+	if err != nil {
+		return err
 	}
-
-	srv, err := wire.NewProxyServerOpts(wire.ProxyOptions{
-		BrokerAddr:         *broker,
-		Name:               *name,
-		JournalPath:        *journalPath,
-		Upstream:           upstream,
-		DeviceReadTimeout:  *devReadTO,
-		DeviceWriteTimeout: *devWriteTO,
-		Logf:               logf,
-		Metrics:            wm,
-		Trace:              collector,
+	h, err := host.New(host.Options{
+		BrokerAddr:           *broker,
+		Name:                 *name,
+		Workers:              *workers,
+		WheelTick:            *wheelTick,
+		Upstream:             upstream,
+		DeviceReadTimeout:    *devReadTO,
+		DeviceWriteTimeout:   *devWriteTO,
+		SpoolDir:             *spoolDir,
+		HibernateAfter:       *hibAfter,
+		SpoolSegmentBytes:    *segBytes,
+		SpoolFsync:           fsync,
+		SpoolCommitEvery:     *commitEvery,
+		SpoolCompactSegments: *compactSegs,
+		Logf:                 logf,
+		Metrics:              wm,
+		Trace:                collector,
 	})
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	srv.RegisterMetrics(reg, *name)
+	defer h.Close()
+	h.RegisterMetrics(reg, *name)
+	// Worker heartbeats and spool group-commit stalls; generous bounds
+	// so only a genuine wedge (not load) trips. The watchdog closes
+	// before the host does (defers unwind in reverse), so shutdown
+	// cannot masquerade as a stall.
+	watchdog.Register(h.Probes(5*time.Second, 10**commitEvery+5*time.Second)...)
 	if *obsAddr != "" {
 		osrv, err := obs.Serve(*obsAddr, reg,
 			obs.Route{Pattern: "/debug/traces", Handler: collector.Handler()},
@@ -217,14 +175,13 @@ func run() error {
 			return err
 		}
 		defer func() { _ = osrv.Close() }()
-		logger.Info("observability endpoint up", "component", "proxy", "addr", osrv.Addr())
+		logger.Info("observability endpoint up", "component", "host", "addr", osrv.Addr())
 	}
-
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
 	}
-	logger.Info("serving", "component", "proxy", "name", *name,
-		"broker", *broker, "addr", lis.Addr().String())
-	return srv.Serve(lis)
+	logger.Info("serving", "component", "host", "name", *name,
+		"broker", *broker, "addr", lis.Addr().String(), "workers", h.Workers())
+	return h.Serve(lis)
 }

@@ -18,27 +18,35 @@ import (
 // host datapath is designed around.
 const hostBenchBatch = 64
 
-// hostBenchPublishers is how many pipelined publish streams stay in
-// flight, each on its own broker connection; one stop-and-wait stream
-// would leave the pipeline idle for a round-trip between bursts.
-const hostBenchPublishers = 8
-
 // hostBenchDrainEvery bounds each device's local store during the run:
 // once a device has accumulated this many deliveries the driver issues a
 // read, consuming the local queue inside the timed region.
 const hostBenchDrainEvery = 1024
 
-// BenchmarkHostForwardPath measures the multi-tenant pipeline: publisher →
+// BenchmarkHostForwardPath measures the last-hop pipeline: publisher →
 // broker server → host (sharded sessions, multiplexed upstream, wheel
-// timers) → device clients. Notifications round-robin across per-device
-// topics, so each op is one end-to-end delivery; the run only completes
-// once every device holds everything published to its topic. Publishes
-// ride the pipelined batch path in bursts of hostBenchBatch, with
-// notification objects and IDs prepared outside the timed region so the
-// measured allocations are the datapath's own.
+// timers) → device clients, at one session (the single-device deployment)
+// and at eight. Notifications round-robin across per-device topics, so
+// each op is one end-to-end delivery; the run only completes once every
+// device holds everything published to its topic. Publishes ride the
+// pipelined batch path in bursts of hostBenchBatch, with notification
+// objects and IDs prepared outside the timed region so the measured
+// allocations are the datapath's own.
+//
+// Pipelined publish streams stay in flight, each on its own broker
+// connection, since one stop-and-wait stream would leave the pipeline
+// idle for a round-trip between bursts. Each case keeps the stream count
+// of the history it continues: one session the 32 of the single-device
+// forward-path benchmark, eight sessions the host's 8.
 func BenchmarkHostForwardPath(b *testing.B) {
-	const devices = 8
+	for _, c := range []struct{ devices, publishers int }{{1, 32}, {8, 8}} {
+		b.Run(fmt.Sprintf("sessions=%d", c.devices), func(b *testing.B) {
+			benchHostForwardPath(b, c.devices, c.publishers)
+		})
+	}
+}
 
+func benchHostForwardPath(b *testing.B, devices, publishers int) {
 	bl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -73,7 +81,7 @@ func BenchmarkHostForwardPath(b *testing.B) {
 		devs[i] = dev
 	}
 
-	pubs := make([]*wire.BrokerClient, hostBenchPublishers)
+	pubs := make([]*wire.BrokerClient, publishers)
 	for w := range pubs {
 		pub, err := wire.DialBroker(bl.Addr().String(), "bench-pub-"+strconv.Itoa(w))
 		if err != nil {
@@ -93,7 +101,7 @@ func BenchmarkHostForwardPath(b *testing.B) {
 	for i := range ids {
 		ids[i] = msg.ID("fwd-" + strconv.FormatInt(int64(i), 10))
 	}
-	noteSets := make([][]*msg.Notification, hostBenchPublishers)
+	noteSets := make([][]*msg.Notification, publishers)
 	for w := range noteSets {
 		notes := make([]*msg.Notification, hostBenchBatch)
 		for i := range notes {
@@ -101,13 +109,13 @@ func BenchmarkHostForwardPath(b *testing.B) {
 		}
 		noteSets[w] = notes
 	}
-	chunk := (b.N + hostBenchPublishers - 1) / hostBenchPublishers
+	chunk := (b.N + publishers - 1) / publishers
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	var benchErr atomic.Value
-	for w := 0; w < hostBenchPublishers; w++ {
+	for w := 0; w < publishers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
 		if hi > b.N {

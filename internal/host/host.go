@@ -1,7 +1,7 @@
-// Package host runs many last-hop proxies in one process: a multi-tenant
-// proxy host. Where wire.ProxyServer dedicates a process (scheduler,
-// upstream broker connection, listener) to a single device, Host shards
-// device sessions across a small set of event-loop workers — each worker
+// Package host runs the last-hop proxies of any number of devices in one
+// process: the proxy host. It is the only proxy runtime — a single device
+// is simply a one-session host. Host shards device sessions across a
+// small set of event-loop workers — each worker
 // owns one hierarchical timing wheel (simtime.Wheel) that serializes every
 // core.Proxy call of the sessions assigned to it — and multiplexes all
 // upstream traffic over one ref-counted broker connection holding exactly
@@ -21,6 +21,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,11 +72,12 @@ type Options struct {
 	// publisher → device timeline. Nil disables tracing.
 	Trace *trace.Collector
 
-	// SpoolDir enables session hibernation: each worker writes hibernated
-	// session state into SpoolDir/worker-N, and New recovers every
-	// session spooled by a previous run (any worker count). Empty
-	// disables the lifecycle — sessions then stay fully resident forever,
-	// as before.
+	// SpoolDir makes the host durable: each worker keeps its sessions'
+	// write-ahead chains (a snapshot plus every arrival since) in
+	// SpoolDir/worker-N, disconnected sessions hibernate onto them, and
+	// New recovers every session a previous run left there (any worker
+	// count). Empty disables both — sessions then stay fully resident,
+	// and a restart starts empty.
 	SpoolDir string
 	// HibernateAfter is how long a session may sit disconnected before
 	// its state is serialized to the spool and dropped from memory. Zero
@@ -139,6 +141,12 @@ type worker struct {
 	// compaction; compaction is skipped while it hasn't advanced.
 	// Wheel-serialized.
 	lastCompactAppends int64
+	// sessions lists every session sharded onto this worker that ever
+	// held state (built by a hello, or recovered from the spool); the
+	// compaction rewrites their chains. Wheel-serialized.
+	sessions []*Session
+	// compacting guards against overlapping compactions of this spool.
+	compacting atomic.Bool
 	// heartbeat is the unix-nanosecond stamp of the wheel's last live
 	// advance (set by the tick hook); the watchdog's worker probe reads
 	// it. A wedged session callback stops the stamps.
@@ -149,8 +157,11 @@ type worker struct {
 // subscription: however many sessions subscribe to the topic, the broker
 // sees exactly one subscriber (the host).
 type topicSub struct {
-	refs     int
-	sessions map[*Session]struct{}
+	refs int
+	// sessions is the fan-out list. It is copy-on-write under Host.mu, so
+	// a dispatch takes the current slice under the lock and iterates it
+	// after, without copying.
+	sessions []*Session
 	// ready is closed once the upstream subscribe resolved; err (set
 	// before the close, immutable after) tells latecomers whether it
 	// failed. Sessions piggybacking on an in-flight subscribe wait on it
@@ -166,11 +177,30 @@ type topicSub struct {
 	draining chan struct{}
 }
 
-// Host is the multi-tenant proxy server. It accepts any number of
-// concurrent device connections; each hello routes the connection to its
-// (possibly new) session, and sessions survive disconnects exactly like
-// wire.ProxyServer's single session does — the proxy spools while the
+// add appends a session to the fan-out list. Host.mu held.
+func (ts *topicSub) add(s *Session) {
+	ts.sessions = append(ts.sessions[:len(ts.sessions):len(ts.sessions)], s)
+}
+
+// remove drops a session from the fan-out list, reporting whether it was
+// there. Host.mu held.
+func (ts *topicSub) remove(s *Session) bool {
+	i := slices.Index(ts.sessions, s)
+	if i < 0 {
+		return false
+	}
+	ts.sessions = slices.Delete(slices.Clone(ts.sessions), i, i+1)
+	return true
+}
+
+// Host is the proxy server. It accepts any number of concurrent device
+// connections; each hello routes the connection to its (possibly new)
+// session, and sessions survive disconnects — the proxy spools while the
 // device is away and reconciles on resume.
+//
+// Lock order: Host.mu may be held while taking a Session.mu, never the
+// reverse, and no wheel callback may take Host.mu — code holding Host.mu
+// must never wait on a wheel.
 type Host struct {
 	name     string
 	opts     Options
@@ -182,13 +212,23 @@ type Host struct {
 	sessions map[string]*Session
 	topics   map[string]*topicSub
 	lis      net.Listener
-	closed   bool
 	wg       sync.WaitGroup
+	// closed is set (under mu, so Serve's accept loop and Close agree)
+	// once Close or Kill starts. It is atomic so wheel callbacks can read
+	// it without Host.mu.
+	closed atomic.Bool
+	// bg tracks background compactions.
+	bg sync.WaitGroup
 
 	// testHookUnsubscribeGap, when non-nil, runs between the last
 	// reference dropping and the upstream Unsubscribe call; tests use it
 	// to widen that window and pin the subscribe/unsubscribe ordering.
 	testHookUnsubscribeGap func(topic string)
+	// testHookDetachGap, when set, runs in Session.detach between clearing
+	// the connection and telling the proxy; tests use it to let a
+	// reconnect's attach overtake the detach. Atomic: tests install it
+	// while connection goroutines run.
+	testHookDetachGap atomic.Pointer[func(name string)]
 
 	// Lifecycle totals (atomics: bumped inside wheel callbacks, read by
 	// the metric samplers and tests without entering the wheels).
@@ -300,21 +340,14 @@ func (h *Host) workerFor(name string) *worker {
 // proxy only ever rewrites envelope fields (Rank), never Payload, and the
 // group's last release recycles the upstream note itself.
 func (h *Host) dispatchPush(n *msg.Notification) {
-	h.mu.Lock()
-	ts := h.topics[n.Topic]
-	var targets []*Session
-	if ts != nil {
-		targets = make([]*Session, 0, len(ts.sessions))
-		for s := range ts.sessions {
-			targets = append(targets, s)
-		}
-	}
-	h.mu.Unlock()
+	targets := h.targets(n.Topic)
 	if len(targets) == 0 {
 		burst.Notes.Put(n) // nobody wants it; recycle the upstream copy
 		return
 	}
-	h.opts.Trace.Hop(trace.KindProxyRecv, h.name, n, time.Now())
+	if h.opts.Trace != nil {
+		h.opts.Trace.Hop(trace.KindProxyRecv, h.name, n, time.Now())
+	}
 	// All members must be split off before the first delivery: Wheel.Run
 	// executes the delivery inline, and a hibernated session recycles its
 	// member immediately — splitting afterwards would read a reset note.
@@ -345,27 +378,28 @@ func (h *Host) dispatchPush(n *msg.Notification) {
 
 // dispatchRank fans an upstream rank revision out to the topic's sessions.
 func (h *Host) dispatchRank(u msg.RankUpdate) {
-	h.mu.Lock()
-	ts := h.topics[u.Topic]
-	var targets []*Session
-	if ts != nil {
-		targets = make([]*Session, 0, len(ts.sessions))
-		for s := range ts.sessions {
-			targets = append(targets, s)
-		}
-	}
-	h.mu.Unlock()
-	for _, s := range targets {
+	for _, s := range h.targets(u.Topic) {
 		sess := s
 		sess.w.wheel.Run(func() { sess.deliverRank(u) })
 	}
+}
+
+// targets returns the topic's current fan-out list; callers must not
+// modify it.
+func (h *Host) targets(topic string) []*Session {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if ts := h.topics[topic]; ts != nil {
+		return ts.sessions
+	}
+	return nil
 }
 
 // Serve accepts device connections until the listener closes. After an
 // explicit Close it returns nil; otherwise it returns the accept error.
 func (h *Host) Serve(lis net.Listener) error {
 	h.mu.Lock()
-	if h.closed {
+	if h.closed.Load() {
 		h.mu.Unlock()
 		return errors.New("host closed")
 	}
@@ -374,7 +408,7 @@ func (h *Host) Serve(lis net.Listener) error {
 	for {
 		c, err := lis.Accept()
 		if err != nil {
-			if h.isClosed() {
+			if h.closed.Load() {
 				return nil
 			}
 			return err
@@ -387,7 +421,7 @@ func (h *Host) Serve(lis net.Listener) error {
 		// decode stays off.
 		conn.SetRecvReuse(true)
 		h.mu.Lock()
-		if h.closed {
+		if h.closed.Load() {
 			h.mu.Unlock()
 			_ = conn.Close()
 			return nil
@@ -401,18 +435,11 @@ func (h *Host) Serve(lis net.Listener) error {
 	}
 }
 
-func (h *Host) isClosed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
 // Close stops the listener, every device connection, the upstream client,
 // and the workers. Sessions are discarded. It is idempotent.
 func (h *Host) Close() {
 	h.mu.Lock()
-	already := h.closed
-	h.closed = true
+	already := h.closed.Swap(true)
 	lis := h.lis
 	sessions := make([]*Session, 0, len(h.sessions))
 	for _, s := range h.sessions {
@@ -442,6 +469,7 @@ func (h *Host) Close() {
 			}
 		}
 	}
+	h.bg.Wait() // a compaction still pending finds its wheel closed
 	// The wheels are closed (Wheel.Close joins any running callback), so
 	// the proxies are quiesced; recycle their pooled notifications.
 	for _, s := range sessions {
@@ -458,8 +486,7 @@ func (h *Host) Close() {
 // page cache outlives the process). Production shutdown is Close.
 func (h *Host) Kill() {
 	h.mu.Lock()
-	already := h.closed
-	h.closed = true
+	already := h.closed.Swap(true)
 	lis := h.lis
 	sessions := make([]*Session, 0, len(h.sessions))
 	for _, s := range h.sessions {
@@ -487,6 +514,7 @@ func (h *Host) Kill() {
 		_ = h.upstream.Close()
 	}
 	h.wg.Wait()
+	h.bg.Wait()
 	// A real crash loses the heap along with the pool, so recycling here
 	// changes no durability semantics — it only keeps the process-local
 	// pool accounting honest. The wheels are closed and joined, so the
@@ -519,13 +547,20 @@ func (h *Host) handleConn(conn *wire.Conn) {
 		}
 		switch f.Type {
 		case wire.TypeHello:
-			s, err := h.attach(conn, f)
+			s, err := h.session(conn, f)
 			if err != nil {
 				h.respond(conn, wire.Err(f, err))
 				return
 			}
+			// Attach and reply under the session's hello lock: a racing
+			// hello for the same name supersedes this connection only
+			// after its reply is queued, so the loser's hello completes
+			// and its connection then closes (Conn.Close flushes the
+			// queued reply first).
+			s.helloMu.Lock()
+			s.attach(conn, wire.HasCap(f.Caps, wire.CapPushBatch), wire.HasCap(f.Caps, wire.CapTrace))
 			// A repeated hello that renames the connection moves it to
-			// another session; release the old one first or it would keep
+			// another session; release the old one or it would keep
 			// believing it owns this connection (network up, never spooling)
 			// and the deferred detach on disconnect would miss it.
 			if sess != nil && sess != s {
@@ -535,6 +570,7 @@ func (h *Host) handleConn(conn *wire.Conn) {
 			ok := wire.OK(f)
 			ok.Caps = wire.LocalCaps()
 			h.respond(conn, ok)
+			s.helloMu.Unlock()
 		case wire.TypePing:
 			h.respond(conn, &wire.Frame{Type: wire.TypePong, Re: f.Seq})
 		case wire.TypeSubscribe:
@@ -555,17 +591,18 @@ func (h *Host) handleConn(conn *wire.Conn) {
 	}
 }
 
-// attach routes a connection to its session, creating the session on first
-// contact. A session that already has a live connection is superseded: the
-// stale connection is closed, exactly as a reconnecting device expects.
-func (h *Host) attach(conn *wire.Conn, hello *wire.Frame) (*Session, error) {
+// session routes a hello to its session, creating the directory entry on
+// first contact. It holds Host.mu only for the map lookup; the proxy is
+// built later by Session.attach on the worker wheel, outside Host.mu (see
+// the lock order on Host).
+func (h *Host) session(conn *wire.Conn, hello *wire.Frame) (*Session, error) {
 	name := hello.Name
 	if name == "" {
 		name = conn.RemoteAddr()
 	}
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	defer h.mu.Unlock()
+	if h.closed.Load() {
 		return nil, errors.New("host closed")
 	}
 	s := h.sessions[name]
@@ -573,8 +610,6 @@ func (h *Host) attach(conn *wire.Conn, hello *wire.Frame) (*Session, error) {
 		s = newSession(h, name, h.workerFor(name))
 		h.sessions[name] = s
 	}
-	h.mu.Unlock()
-	s.attach(conn, wire.HasCap(hello.Caps, wire.CapPushBatch), wire.HasCap(hello.Caps, wire.CapTrace))
 	return s, nil
 }
 
@@ -601,15 +636,10 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 	if sess.hasTopic(f.Topic) {
 		var addErr error
 		sess.w.wheel.Run(func() {
-			if sess.proxy == nil {
+			if sess.proxy == nil || slices.Contains(sess.proxy.Topics(), f.Topic) {
 				return
 			}
-			for _, t := range sess.proxy.Topics() {
-				if t == f.Topic {
-					return
-				}
-			}
-			addErr = sess.proxy.AddTopic(cfg)
+			addErr = sess.addTopicDurably(cfg)
 		})
 		return addErr
 	}
@@ -621,7 +651,7 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 			addErr = errNotResident
 			return
 		}
-		addErr = sess.proxy.AddTopic(cfg)
+		addErr = sess.addTopicDurably(cfg)
 	})
 	if addErr != nil {
 		return addErr
@@ -641,12 +671,12 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 	}
 	first := ts == nil
 	if first {
-		ts = &topicSub{sessions: make(map[*Session]struct{}), ready: make(chan struct{})}
+		ts = &topicSub{ready: make(chan struct{})}
 		h.topics[f.Topic] = ts
 	}
 	ts.refs++
 	refs := ts.refs
-	ts.sessions[sess] = struct{}{}
+	ts.add(sess)
 	h.mu.Unlock()
 	flight.Record(flight.SubMux, flight.KindSubscribe, -1, flight.TopicHash(f.Topic), int64(refs))
 
@@ -675,15 +705,13 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 			}
 			if rerr := sess.proxy.RemoveTopic(f.Topic); rerr != nil {
 				h.logf("host: rollback topic %q: %v", f.Topic, rerr)
+				return
 			}
+			sess.spoolUnsubscribe(f.Topic)
 		})
 		return err
 	}
 	sess.addTopic(f.Topic)
-	// A session re-subscribing over an existing spool chain must correct the
-	// chain's membership, or a crash before the next snapshot would recover
-	// it without this topic.
-	sess.w.wheel.Run(func() { sess.spoolMembership(msg.SpoolDelta{Subscribe: f.Topic}) })
 	return nil
 }
 
@@ -695,7 +723,7 @@ func (h *Host) dropRef(sess *Session, topic string, ts *topicSub) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ts.refs--
-	delete(ts.sessions, sess)
+	ts.remove(sess)
 	if ts.refs <= 0 && h.topics[topic] == ts {
 		delete(h.topics, topic)
 	}
@@ -720,7 +748,7 @@ func (h *Host) unsubscribe(sess *Session, topic string) error {
 			remErr = fmt.Errorf("unknown topic %q", topic)
 		}
 		if remErr == nil {
-			sess.spoolMembership(msg.SpoolDelta{Unsubscribe: topic})
+			sess.spoolUnsubscribe(topic)
 		}
 	})
 	if remErr != nil {
@@ -731,10 +759,9 @@ func (h *Host) unsubscribe(sess *Session, topic string) error {
 	ts := h.topics[topic]
 	var drained chan struct{}
 	if ts != nil {
-		if _, held := ts.sessions[sess]; held {
+		if ts.remove(sess) {
 			ts.refs--
 			flight.Record(flight.SubMux, flight.KindUnsubscribe, -1, flight.TopicHash(topic), int64(ts.refs))
-			delete(ts.sessions, sess)
 			if ts.refs <= 0 {
 				// Last reference: keep the entry in h.topics, marked
 				// draining, until the upstream unsubscribe resolves, so a
@@ -875,9 +902,9 @@ type LifecycleStats struct {
 	Hibernations      int64
 	Rehydrations      int64
 	RehydrateFailures int64
-	// SpooledDeltas counts delta records appended for non-resident
-	// sessions since start; phased drills use it to know when a publish
-	// wave is fully on disk.
+	// SpooledDeltas counts delta records appended since start (every
+	// session writes every arrival ahead); phased drills use it to know
+	// when a publish wave is fully on disk.
 	SpooledDeltas int64
 	Resident      int
 	Hibernated    int

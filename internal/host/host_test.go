@@ -185,6 +185,8 @@ func TestHostSubscribeUnsubscribeOrdering(t *testing.T) {
 	const topic = "order/t"
 	s1 := newSession(h, "order-1", h.workers[0])
 	s2 := newSession(h, "order-2", h.workers[0])
+	// A hello's attach builds the proxy; these sessions have no connection.
+	h.workers[0].wheel.Run(func() { s1.ensureResident(); s2.ensureResident() })
 	subFrame := func() *wire.Frame {
 		return &wire.Frame{Type: wire.TypeSubscribe, Topic: topic,
 			TopicPolicy: &wire.TopicPolicy{Mode: "on-line"}}

@@ -22,19 +22,21 @@ import (
 //	hibernating --(group commit)--> hibernated
 //	hibernating --(device reconnects before the commit)--> resident
 //	hibernated --(hello rehydrates)--> resident
+//
+// With a spool, every state keeps one current chain: a snapshot followed
+// by every upstream arrival since, appended before the proxy sees it.
 type sessionState uint8
 
 const (
-	// stateResident: the proxy lives in memory; the spool holds at most a
-	// stale chain from an earlier hibernation (kept as the crash
-	// fallback).
+	// stateResident: the proxy lives in memory and arrivals go to both
+	// memory and the chain.
 	stateResident sessionState = iota
-	// stateHibernating: the snapshot is appended (process-crash durable)
-	// but its group commit hasn't run; memory is still authoritative and
-	// arrivals go to both.
+	// stateHibernating: a fresh snapshot is appended (process-crash
+	// durable) but its group commit hasn't run; memory is still
+	// authoritative and arrivals go to both.
 	stateHibernating
 	// stateHibernated: memory is dropped; the session is a directory
-	// entry (name → spool locations) and arrivals append deltas.
+	// entry (name → spool locations) and arrivals only append deltas.
 	stateHibernated
 )
 
@@ -50,44 +52,30 @@ func (st sessionState) String() string {
 	return fmt.Sprintf("state(%d)", uint8(st))
 }
 
-// deliverNotify routes one upstream notification by lifecycle state. Runs
-// on the wheel.
+// deliverNotify hands one upstream notification to the session. With a
+// spool it is written ahead first — Notify may drop (and recycle) the
+// pooled note — so the chain replays to the same upstream input whether
+// or not the proxy is in memory. Runs on the wheel.
 func (s *Session) deliverNotify(n *msg.Notification) {
-	switch s.stateNow() {
-	case stateResident:
-		s.proxy.Notify(n) // ownership transfers: the proxy releases it
-	case stateHibernating:
-		// Memory is still authoritative (the device may return before the
-		// commit), but the disk chain must also be complete in case it
-		// doesn't: snapshot + deltas must replay to the same state. The
-		// delta is serialized first — Notify may drop (and recycle) the
-		// pooled note immediately.
+	if s.w.spool != nil {
 		s.spoolDelta(msg.SpoolDelta{Notification: n, Trace: n.Trace})
-		s.proxy.Notify(n)
-	case stateHibernated:
-		s.spoolDelta(msg.SpoolDelta{Notification: n, Trace: n.Trace})
-		burst.Notes.Put(n) // serialized to disk; the memory copy is done
 	}
+	if s.proxy == nil {
+		burst.Notes.Put(n) // hibernated: the chain holds it
+		return
+	}
+	s.proxy.Notify(n) // ownership transfers: the proxy releases it
 }
 
-// deliverRank routes one upstream rank revision by lifecycle state. Runs
-// on the wheel.
+// deliverRank hands one upstream rank revision to the session, written
+// ahead like deliverNotify. Runs on the wheel.
 func (s *Session) deliverRank(u msg.RankUpdate) {
-	switch s.stateNow() {
-	case stateResident:
-		s.proxy.ApplyRankUpdate(u)
-	case stateHibernating:
-		s.proxy.ApplyRankUpdate(u)
-		s.spoolDelta(msg.SpoolDelta{Rank: &u})
-	case stateHibernated:
+	if s.w.spool != nil {
 		s.spoolDelta(msg.SpoolDelta{Rank: &u})
 	}
-}
-
-func (s *Session) stateNow() sessionState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
+	if s.proxy != nil {
+		s.proxy.ApplyRankUpdate(u)
+	}
 }
 
 // spoolDelta appends one incremental record to the session's chain. Runs
@@ -111,12 +99,11 @@ func (s *Session) spoolDelta(d msg.SpoolDelta) {
 	s.host.spooledDeltas.Add(1)
 }
 
-// spoolMembership appends a topic-membership correction to the session's
-// existing spool chain, making a subscribe or unsubscribe durable against
-// the snapshot it would otherwise silently contradict. Without a chain
-// there is nothing to correct — the next snapshot records the membership
-// wholesale. Runs on the wheel.
-func (s *Session) spoolMembership(d msg.SpoolDelta) {
+// spoolUnsubscribe appends a topic-membership correction to the session's
+// chain, so recovery does not resurrect a topic from the snapshot's list.
+// Without a chain there is nothing to correct — the next snapshot records
+// the membership wholesale. Runs on the wheel.
+func (s *Session) spoolUnsubscribe(topic string) {
 	if s.w.spool == nil {
 		return
 	}
@@ -124,8 +111,44 @@ func (s *Session) spoolMembership(d msg.SpoolDelta) {
 	hasChain := !s.snap.IsZero()
 	s.mu.Unlock()
 	if hasChain {
-		s.spoolDelta(d)
+		s.spoolDelta(msg.SpoolDelta{Unsubscribe: topic})
 	}
+}
+
+// snapshotRecord serializes the in-memory proxy, with topics as the
+// session's membership. Runs on the wheel.
+func (s *Session) snapshotRecord(topics []string) (spool.Record, error) {
+	payload, err := json.Marshal(s.proxy.Export())
+	if err != nil {
+		return spool.Record{}, fmt.Errorf("encode snapshot: %w", err)
+	}
+	meta, err := json.Marshal(msg.SpoolMeta{Topics: topics})
+	if err != nil {
+		return spool.Record{}, fmt.Errorf("encode snapshot meta: %w", err)
+	}
+	return spool.Record{
+		Kind: spool.KindSnapshot, Name: s.name, Meta: meta, Payload: payload, At: time.Now(),
+	}, nil
+}
+
+// rebase starts a new chain from a fresh snapshot of the in-memory proxy;
+// onCommit (may be nil) runs after the snapshot's group commit. It reports
+// whether the snapshot was appended — on failure the old chain stays
+// current. Runs on the wheel.
+func (s *Session) rebase(topics []string, onCommit func()) bool {
+	rec, err := s.snapshotRecord(topics)
+	if err == nil {
+		var loc spool.Loc
+		if loc, err = s.w.spool.Append(rec, onCommit); err == nil {
+			s.mu.Lock()
+			s.snap = loc
+			s.deltas = nil
+			s.mu.Unlock()
+			return true
+		}
+	}
+	s.host.logf("host: session %s: spool snapshot: %v", s.name, err)
+	return false
 }
 
 // armHibernate starts the idle countdown after a disconnect. Runs on the
@@ -158,9 +181,11 @@ func (s *Session) topicList() []string {
 	return out
 }
 
-// hibernate serializes the session to the spool. The memory drop is
-// deferred to the group commit (completeHibernate); until then the device
-// can reclaim the session without a rehydration. Runs on the wheel.
+// hibernate re-bases the session's chain on a fresh snapshot, so a
+// rehydration replays one record instead of every arrival since the last
+// one. The memory drop is deferred to the group commit
+// (completeHibernate); until then the device can reclaim the session
+// without a rehydration. Runs on the wheel.
 func (s *Session) hibernate() {
 	s.hibArmed = false
 	s.mu.Lock()
@@ -169,29 +194,13 @@ func (s *Session) hibernate() {
 	if busy || s.proxy == nil {
 		return
 	}
-	payload, err := json.Marshal(s.proxy.Export())
-	if err != nil {
-		s.host.logf("host: session %s: encode snapshot: %v", s.name, err)
-		return
+	// On failure the session simply stays resident; the next disconnect
+	// retries.
+	if s.rebase(s.topicList(), s.completeHibernate) {
+		s.mu.Lock()
+		s.state = stateHibernating
+		s.mu.Unlock()
 	}
-	meta, err := json.Marshal(msg.SpoolMeta{Topics: s.topicList()})
-	if err != nil {
-		s.host.logf("host: session %s: encode snapshot meta: %v", s.name, err)
-		return
-	}
-	loc, err := s.w.spool.Append(spool.Record{
-		Kind: spool.KindSnapshot, Name: s.name, Meta: meta, Payload: payload, At: time.Now(),
-	}, s.completeHibernate)
-	if err != nil {
-		// The session simply stays resident; the next disconnect retries.
-		s.host.logf("host: session %s: spool snapshot: %v", s.name, err)
-		return
-	}
-	s.mu.Lock()
-	s.state = stateHibernating
-	s.snap = loc
-	s.deltas = nil
-	s.mu.Unlock()
 }
 
 // completeHibernate drops the in-memory proxy once the snapshot's group
@@ -212,20 +221,25 @@ func (s *Session) completeHibernate() {
 	flight.Record(flight.SubLifecycle, flight.KindHibernate, int32(s.w.id), s.host.hibernations.Add(1), 0)
 }
 
-// ensureResident brings the session back to memory if it isn't. Runs on
-// the wheel (attach's serialized callback), so two connections racing a
-// hello for the same name rehydrate exactly once.
+// ensureResident brings the session to memory if it isn't: a brand-new
+// session gets an empty proxy, a hibernated one is rebuilt from its chain.
+// Runs on the wheel (attach's serialized callback), so two connections
+// racing a hello for the same name rehydrate exactly once.
 func (s *Session) ensureResident() {
 	s.mu.Lock()
 	st := s.state
 	if st == stateHibernating {
 		// The snapshot is on disk but memory was never dropped: abort the
-		// drop, the disk chain goes stale and is superseded next time.
+		// drop. The chain stays current — arrivals kept appending to it.
 		s.state = stateResident
 	}
 	s.mu.Unlock()
-	if st == stateHibernated {
+	switch {
+	case st == stateHibernated:
 		s.rehydrate()
+	case s.proxy == nil: // a brand-new session: its first hello
+		s.proxy = s.newProxy()
+		s.w.sessions = append(s.w.sessions, s)
 	}
 }
 
@@ -242,16 +256,7 @@ func (s *Session) rehydrate() {
 	s.mu.Unlock()
 	maxRec := s.host.opts.SpoolMaxRecordBytes
 
-	newProxy := func() *core.Proxy {
-		p := core.New(s.w.wheel, s)
-		if s.host.opts.Trace != nil {
-			p.SetTracer(sessionTracer{node: s.name, t: s.host.opts.Trace})
-		}
-		p.SetReleaser(burst.Notes.Put)
-		p.SetNetwork(false)
-		return p
-	}
-	p := newProxy()
+	p := s.newProxy()
 	restored := false
 	if !snapLoc.IsZero() {
 		var ps core.ProxySnapshot
@@ -271,7 +276,7 @@ func (s *Session) rehydrate() {
 				s.name, snapLoc.Path, snapLoc.Offset, err)
 			s.host.rehydrateFailures.Add(1)
 			p.Shutdown() // a partial Import may have armed timers
-			p = newProxy()
+			p = s.newProxy()
 		} else {
 			restored = true
 		}
@@ -303,10 +308,6 @@ func (s *Session) rehydrate() {
 				// replayed copy must not resurrect it. An error here is
 				// normal when the import restarted empty.
 				_ = p.RemoveTopic(d.Unsubscribe)
-			case d.Subscribe != "":
-				// Membership-only correction for crash recovery; the
-				// proxy-side configuration returns with the device's
-				// reasserting subscribe.
 			}
 		}
 	}
@@ -352,24 +353,22 @@ func (h *Host) recoverSpooled() error {
 		loc spool.Loc
 		at  time.Time
 	}
-	type memberEvent struct {
+	type unsubscribe struct {
 		topic string
-		add   bool
-		loc   spool.Loc
 		at    time.Time
 	}
 	type chain struct {
-		snap    spool.Loc
-		snapAt  time.Time
-		tombAt  time.Time
-		topics  []string
-		deltas  []timedLoc
-		members []memberEvent
+		snap   spool.Loc
+		snapAt time.Time
+		tombAt time.Time
+		topics []string
+		deltas []timedLoc
+		unsubs []unsubscribe
 	}
 	// Membership corrections hide among ordinary deltas; the key probe
-	// avoids a JSON parse of every notification payload (both field names
-	// end in `subscribe"`, and a false positive only costs one parse).
-	memberHint := []byte(`subscribe"`)
+	// avoids a JSON parse of every notification payload (a false positive
+	// only costs one parse).
+	unsubHint := []byte(`"unsubscribe"`)
 	chains := make(map[string]*chain)
 	for _, dir := range dirs {
 		err := spool.ScanDir(dir, h.opts.SpoolMaxRecordBytes, h.logf, func(loc spool.Loc, r spool.Record) error {
@@ -392,15 +391,10 @@ func (h *Host) recoverSpooled() error {
 				}
 			case spool.KindDelta:
 				c.deltas = append(c.deltas, timedLoc{loc, r.At})
-				if bytes.Contains(r.Payload, memberHint) {
+				if bytes.Contains(r.Payload, unsubHint) {
 					var d msg.SpoolDelta
-					if err := json.Unmarshal(r.Payload, &d); err == nil {
-						if d.Subscribe != "" {
-							c.members = append(c.members, memberEvent{d.Subscribe, true, loc, r.At})
-						}
-						if d.Unsubscribe != "" {
-							c.members = append(c.members, memberEvent{d.Unsubscribe, false, loc, r.At})
-						}
+					if err := json.Unmarshal(r.Payload, &d); err == nil && d.Unsubscribe != "" {
+						c.unsubs = append(c.unsubs, unsubscribe{d.Unsubscribe, r.At})
 					}
 				}
 			case spool.KindTombstone:
@@ -435,36 +429,17 @@ func (h *Host) recoverSpooled() error {
 			}
 			return a.loc.Offset < b.loc.Offset
 		})
-		// The snapshot's topic list plus every membership correction since
-		// it, in record order, is the session's true subscription set: a
-		// topic unsubscribed after the snapshot must not come back as a
-		// phantom upstream subscription, and one re-subscribed must not be
-		// dropped.
-		members := c.members[:0]
-		for _, m := range c.members {
-			if !m.at.Before(c.snapAt) {
-				members = append(members, m)
-			}
-		}
-		sort.Slice(members, func(i, j int) bool {
-			a, b := members[i], members[j]
-			if !a.at.Equal(b.at) {
-				return a.at.Before(b.at)
-			}
-			if a.loc.Path != b.loc.Path {
-				return a.loc.Path < b.loc.Path
-			}
-			return a.loc.Offset < b.loc.Offset
-		})
+		// The snapshot's topic list minus every unsubscribe since it is the
+		// session's true subscription set: a topic unsubscribed after the
+		// snapshot must not come back as a phantom upstream subscription.
+		// (A subscribe always re-bases the chain, so it never trails one.)
 		topicSet := make(map[string]struct{}, len(c.topics))
 		for _, t := range c.topics {
 			topicSet[t] = struct{}{}
 		}
-		for _, m := range members {
-			if m.add {
-				topicSet[m.topic] = struct{}{}
-			} else {
-				delete(topicSet, m.topic)
+		for _, u := range c.unsubs {
+			if !u.at.Before(c.snapAt) {
+				delete(topicSet, u.topic)
 			}
 		}
 		s := &Session{
@@ -484,13 +459,14 @@ func (h *Host) recoverSpooled() error {
 			if ts == nil {
 				ready := make(chan struct{})
 				close(ready) // resolved: New subscribes before serving
-				ts = &topicSub{sessions: make(map[*Session]struct{}), ready: ready}
+				ts = &topicSub{ready: ready}
 				h.topics[t] = ts
 			}
 			ts.refs++
-			ts.sessions[s] = struct{}{}
+			ts.add(s)
 		}
 		h.sessions[name] = s
+		s.w.sessions = append(s.w.sessions, s)
 		recovered++
 	}
 	if recovered > 0 {
@@ -502,55 +478,70 @@ func (h *Host) recoverSpooled() error {
 
 // scheduleCommit arms the worker's next group-commit tick: one spool
 // Commit (fsync per policy + deferred memory drops) per interval, plus
-// the compaction check.
+// the compaction check. The tick is a wheel callback, so it must never
+// take Host.mu (see the lock order on Host): it reads the closed flag as
+// an atomic and leaves the compaction's Host.mu work to a goroutine.
 func (h *Host) scheduleCommit(w *worker) {
 	w.wheel.Schedule(h.opts.SpoolCommitEvery, func() {
 		if err := w.spool.Commit(); err != nil {
 			h.logf("host: worker %d: spool commit: %v", w.id, err)
 		}
-		h.maybeCompact(w)
-		if !h.isClosed() {
+		st := w.spool.Stats()
+		if st.Segments > h.opts.SpoolCompactSegments && st.Appends != w.lastCompactAppends &&
+			w.compacting.CompareAndSwap(false, true) {
+			h.bg.Add(1)
+			go h.compact(w)
+		}
+		if !h.closed.Load() {
 			h.scheduleCommit(w)
 		}
 	})
 }
 
-// maybeCompact rewrites the worker's live session chains into fresh
-// segments once its spool has grown past the segment threshold. Runs
-// inside the commit tick (wheel-serialized with every state transition and
-// delta append of this worker's sessions). Only segments referenced by no
-// session anywhere are deleted, so chains that still point into this
-// directory — another worker's sessions after a resharding restart, or a
-// resident session's stale crash-fallback chain — survive untouched.
-func (h *Host) maybeCompact(w *worker) {
-	st := w.spool.Stats()
-	if st.Segments <= h.opts.SpoolCompactSegments || st.Appends == w.lastCompactAppends {
-		return
-	}
-
-	// Partition: this worker's hibernated sessions get rewritten;
-	// everyone else's chain references must be retained wherever they
-	// point.
-	retained := make(map[string]bool)
-	var mine []*Session
+// compact rewrites the worker's session chains into fresh segments. The
+// other workers' chains may still point into this worker's directory (after
+// a resharding restart), so their segment paths are gathered first, under
+// Host.mu and outside any wheel; the rewrite itself then runs on the wheel.
+// Gathering early is safe: another worker's references into this directory
+// only ever shrink.
+func (h *Host) compact(w *worker) {
+	defer h.bg.Done()
+	defer w.compacting.Store(false)
 	h.mu.Lock()
+	others := make([]*Session, 0, len(h.sessions))
 	for _, s := range h.sessions {
-		s.mu.Lock()
-		if s.w == w && s.state == stateHibernated {
-			mine = append(mine, s)
-		} else {
-			if !s.snap.IsZero() {
-				retained[s.snap.Path] = true
-			}
-			for _, d := range s.deltas {
-				retained[d.Path] = true
-			}
+		if s.w != w {
+			others = append(others, s)
 		}
-		s.mu.Unlock()
 	}
 	h.mu.Unlock()
-	sort.Slice(mine, func(i, j int) bool { return mine[i].name < mine[j].name })
+	retained := make(map[string]bool)
+	for _, s := range others {
+		s.mu.Lock()
+		retainChain(retained, s.snap, s.deltas)
+		s.mu.Unlock()
+	}
+	w.wheel.Run(func() { h.compactWorker(w, retained) })
+}
 
+// retainChain marks every segment a chain points into.
+func retainChain(retained map[string]bool, snap spool.Loc, deltas []spool.Loc) {
+	if !snap.IsZero() {
+		retained[snap.Path] = true
+	}
+	for _, d := range deltas {
+		retained[d.Path] = true
+	}
+}
+
+// compactWorker rewrites every chain of the worker's sessions: a session
+// in memory (resident or hibernating) is re-based on a fresh snapshot,
+// which also drops the deltas it has already absorbed; a hibernated one
+// has its snapshot and deltas copied. Old segments are deleted unless a
+// chain still points into them. Runs on the worker's wheel, serialized
+// with every append of its sessions.
+func (h *Host) compactWorker(w *worker, retained map[string]bool) {
+	st := w.spool.Stats()
 	maxRec := h.opts.SpoolMaxRecordBytes
 	type move struct {
 		snap   spool.Loc
@@ -558,26 +549,35 @@ func (h *Host) maybeCompact(w *worker) {
 	}
 	moves := make(map[*Session]move)
 	err := w.spool.Compact(func(app func(spool.Record) (spool.Loc, error)) error {
-		for _, s := range mine {
+		for _, s := range w.sessions {
 			s.mu.Lock()
 			snapLoc := s.snap
 			deltas := append([]spool.Loc(nil), s.deltas...)
 			s.mu.Unlock()
-			keepOld := func() {
-				// Unreadable chain: keep the old segments so nothing that
-				// might still decode is destroyed.
-				if !snapLoc.IsZero() {
-					retained[snapLoc.Path] = true
+			if snapLoc.IsZero() {
+				continue // no chain yet: nothing to rewrite
+			}
+			if s.proxy != nil {
+				rec, err := s.snapshotRecord(s.topicList())
+				if err != nil {
+					h.logf("host: compact worker %d: session %s: %v (kept in place)", w.id, s.name, err)
+					retainChain(retained, snapLoc, deltas)
+					continue
 				}
-				for _, d := range deltas {
-					retained[d.Path] = true
+				loc, err := app(rec)
+				if err != nil {
+					return err
 				}
+				moves[s] = move{snap: loc}
+				continue
 			}
 			rec, err := spool.ReadRecord(snapLoc, maxRec)
 			if err != nil {
+				// Unreadable chain: keep the old segments so nothing that
+				// might still decode is destroyed.
 				h.logf("host: compact worker %d: session %s snapshot %s@%d: %v (kept in place)",
 					w.id, s.name, snapLoc.Path, snapLoc.Offset, err)
-				keepOld()
+				retainChain(retained, snapLoc, deltas)
 				continue
 			}
 			newSnap, err := app(rec)
@@ -610,13 +610,8 @@ func (h *Host) maybeCompact(w *worker) {
 	}
 	for s, m := range moves {
 		s.mu.Lock()
-		// Only rewire sessions still hibernated with the chain we copied;
-		// anything that changed state mid-emit keeps its own (newer)
-		// chain. (Cannot happen — the wheel serializes us — but cheap.)
-		if s.state == stateHibernated {
-			s.snap = m.snap
-			s.deltas = m.deltas
-		}
+		s.snap = m.snap
+		s.deltas = m.deltas
 		s.mu.Unlock()
 	}
 	w.lastCompactAppends = w.spool.Stats().Appends

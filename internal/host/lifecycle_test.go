@@ -199,8 +199,10 @@ func TestHelloDuringHibernateRace(t *testing.T) {
 		info, ok := sessionInfoOf(tt.host, "race-dev")
 		return ok && info.State == "hibernating"
 	})
-	if n := countSpoolRecords(t, dir, spool.KindSnapshot); n != 1 {
-		t.Fatalf("snapshots on disk = %d, want 1", n)
+	// One snapshot from the subscribe, which starts the chain, and one
+	// from the hibernation.
+	if n := countSpoolRecords(t, dir, spool.KindSnapshot); n != 2 {
+		t.Fatalf("snapshots on disk = %d, want 2", n)
 	}
 
 	dev2 := tt.device("race-dev")

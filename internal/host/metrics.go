@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"lasthop/internal/core"
+	"lasthop/internal/metrics"
 	"lasthop/internal/obs"
 )
 
@@ -84,27 +85,7 @@ func (h *Host) RegisterMetrics(reg *obs.Registry, host string) {
 			return out
 		})
 
-	// Per-session core counters, collected with one wheel round trip per
-	// worker rather than one per session.
-	sessionCounter := func(name, help string, get func(core.Stats) int) {
-		reg.SampleCounters(name, help, []string{"host", "device"}, func() []obs.Sample {
-			names, stats := h.allSessionStats()
-			out := make([]obs.Sample, len(names))
-			for i := range names {
-				out[i] = obs.Sample{Labels: []string{host, names[i]}, Value: float64(get(stats[i]))}
-			}
-			return out
-		})
-	}
-	sessionCounter("lasthop_host_session_notifications_total",
-		"Notification arrivals into each session's proxy.",
-		func(st core.Stats) int { return st.Notifications })
-	sessionCounter("lasthop_host_session_forwards_total",
-		"Messages each session pushed to its device, including rank-drop signals.",
-		func(st core.Stats) int { return st.Forwards })
-	sessionCounter("lasthop_host_session_expirations_total",
-		"Notifications expired while queued in each session's proxy.",
-		func(st core.Stats) int { return st.Expirations })
+	h.registerCoreMetrics(reg, host)
 
 	// Hibernation lifecycle: the resident/hibernated split, the spool
 	// footprint, and the transition totals.
@@ -167,33 +148,126 @@ func (h *Host) RegisterMetrics(reg *obs.Registry, host string) {
 		obs.LatencyBuckets()))
 }
 
-// allSessionStats snapshots every session's core counters, grouped so each
-// worker's wheel is entered once.
-func (h *Host) allSessionStats() ([]string, []core.Stats) {
+// registerCoreMetrics exports each resident session's core-algorithm
+// state as scrape-time samplers labelled by session: the Stats counters,
+// the live §3.1 waste percentage, and per-topic queue depths and tuner
+// outputs. Nothing is counted per delivery; every sample is read from the
+// proxies at scrape time, one wheel round trip per worker per family.
+// Hibernated sessions are skipped — sampling must not rehydrate.
+func (h *Host) registerCoreMetrics(reg *obs.Registry, host string) {
+	counter := func(name, help string, get func(core.Stats) int) {
+		reg.SampleCounters(name, help, []string{"host", "device"}, func() []obs.Sample {
+			var out []obs.Sample
+			h.eachResident(func(name string, p *core.Proxy) {
+				out = append(out, obs.Sample{Labels: []string{host, name}, Value: float64(get(p.Stats()))})
+			})
+			return out
+		})
+	}
+	counter("lasthop_core_notifications_total", "Notification arrivals from the routing substrate.",
+		func(st core.Stats) int { return st.Notifications })
+	counter("lasthop_core_forwards_total", "Messages pushed to the device, including rank-drop signals.",
+		func(st core.Stats) int { return st.Forwards })
+	counter("lasthop_core_rank_drop_signals_total", "Forwards that only signal a rank drop of an already-forwarded notification.",
+		func(st core.Stats) int { return st.RankDropSignals })
+	counter("lasthop_core_expirations_total", "Notifications expired while queued on the proxy.",
+		func(st core.Stats) int { return st.Expirations })
+	counter("lasthop_core_reads_total", "Read requests from the device.",
+		func(st core.Stats) int { return st.Reads })
+	counter("lasthop_core_read_consumed_total", "Notifications consumed by user reads (the read side of the waste metric).",
+		func(st core.Stats) int { return st.ReadConsumed })
+	counter("lasthop_core_rejected_total", "Arrivals dropped at the edge: below threshold or expired.",
+		func(st core.Stats) int { return st.Rejected })
+	counter("lasthop_core_resumes_total", "Session-resumption reconciliations after device reconnects.",
+		func(st core.Stats) int { return st.Resumes })
+	counter("lasthop_core_resume_requeued_total", "Forwarded notifications lost in flight and re-queued on resume.",
+		func(st core.Stats) int { return st.ResumeRequeued })
+	counter("lasthop_core_resume_lost_total", "Forwarded notifications lost in flight and irrecoverable on resume.",
+		func(st core.Stats) int { return st.ResumeLost })
+
+	reg.SampleGauges("lasthop_core_waste_pct",
+		"Live §3.1 waste: percentage of forwarded notifications never read. Negative means the read/forward conservation identity is violated.",
+		[]string{"host", "device"}, func() []obs.Sample {
+			var out []obs.Sample
+			h.eachResident(func(name string, p *core.Proxy) {
+				st := p.Stats()
+				// A violated identity surfaces as a negative value here;
+				// the violations counter (metrics.Register) counts the
+				// events.
+				pct, _ := metrics.WastePctChecked(st.Forwards-st.RankDropSignals, st.ReadConsumed)
+				out = append(out, obs.Sample{Labels: []string{host, name}, Value: pct})
+			})
+			return out
+		})
+
+	reg.SampleGauges("lasthop_core_topic_queue_depth",
+		"Per-topic Figure 7 stage depths.",
+		[]string{"host", "device", "topic", "queue"}, func() []obs.Sample {
+			var out []obs.Sample
+			h.eachTopic(func(name string, s core.TopicSnapshot) {
+				out = append(out,
+					obs.Sample{Labels: []string{host, name, s.Name, "outgoing"}, Value: float64(s.Outgoing)},
+					obs.Sample{Labels: []string{host, name, s.Name, "prefetch"}, Value: float64(s.Prefetch)},
+					obs.Sample{Labels: []string{host, name, s.Name, "holding"}, Value: float64(s.Holding)},
+					obs.Sample{Labels: []string{host, name, s.Name, "delayed"}, Value: float64(s.Delayed)},
+				)
+			})
+			return out
+		})
+
+	topicGauge := func(name, help string, get func(core.TopicSnapshot) float64) {
+		reg.SampleGauges(name, help, []string{"host", "device", "topic"}, func() []obs.Sample {
+			var out []obs.Sample
+			h.eachTopic(func(dev string, s core.TopicSnapshot) {
+				out = append(out, obs.Sample{Labels: []string{host, dev, s.Name}, Value: get(s)})
+			})
+			return out
+		})
+	}
+	topicGauge("lasthop_core_topic_client_queue_view", "Proxy's view of the device queue size (§3.2).",
+		func(s core.TopicSnapshot) float64 { return float64(s.QueueSizeView) })
+	topicGauge("lasthop_core_topic_prefetch_limit", "Effective (possibly auto-tuned) prefetch limit.",
+		func(s core.TopicSnapshot) float64 { return float64(s.PrefetchLimit) })
+	topicGauge("lasthop_core_topic_expiration_threshold_seconds", "Effective (possibly auto-tuned) expiration threshold.",
+		func(s core.TopicSnapshot) float64 { return s.ExpirationThreshold.Seconds() })
+	topicGauge("lasthop_core_topic_delay_seconds", "Effective (possibly auto-tuned) rank-retraction delay.",
+		func(s core.TopicSnapshot) float64 { return s.Delay.Seconds() })
+	topicGauge("lasthop_core_topic_forwarded_ids", "IDs the proxy believes delivered to the device.",
+		func(s core.TopicSnapshot) float64 { return float64(s.Forwarded) })
+	topicGauge("lasthop_core_topic_history_size", "Per-topic event history size.",
+		func(s core.TopicSnapshot) float64 { return float64(s.History) })
+}
+
+// eachResident calls fn with every resident session's proxy, inside that
+// session's worker wheel, entering each worker's wheel once.
+func (h *Host) eachResident(fn func(name string, p *core.Proxy)) {
 	byWorker := make([][]*Session, len(h.workers))
 	h.mu.Lock()
 	for _, s := range h.sessions {
 		byWorker[s.w.id] = append(byWorker[s.w.id], s)
 	}
 	h.mu.Unlock()
-	var (
-		names []string
-		stats []core.Stats
-	)
 	for i, sessions := range byWorker {
 		if len(sessions) == 0 {
 			continue
 		}
-		local := sessions
 		h.workers[i].wheel.Run(func() {
-			for _, s := range local {
-				if s.proxy == nil {
-					continue // hibernated: sampling must not rehydrate
+			for _, s := range sessions {
+				if s.proxy != nil {
+					fn(s.name, s.proxy)
 				}
-				names = append(names, s.name)
-				stats = append(stats, s.proxy.Stats())
 			}
 		})
 	}
-	return names, stats
+}
+
+// eachTopic calls fn with every topic snapshot of every resident session.
+func (h *Host) eachTopic(fn func(name string, s core.TopicSnapshot)) {
+	h.eachResident(func(name string, p *core.Proxy) {
+		for _, t := range p.Topics() {
+			if snap, ok := p.Snapshot(t); ok {
+				fn(name, snap)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"lasthop/internal/burst"
@@ -27,9 +28,15 @@ type Session struct {
 	name string
 	w    *worker
 
-	// proxy is nil while the session is hibernated (its state then lives
-	// in the spool chain below). Written only from wheel callbacks.
+	// proxy is nil until the first hello's attach callback builds it and
+	// while the session is hibernated (its state then lives in the spool
+	// chain below). Written only from wheel callbacks.
 	proxy *core.Proxy
+
+	// helloMu serializes hello handling (attach plus the hello reply) per
+	// session, so a connection superseded by a racing hello has its reply
+	// queued before the winner closes it.
+	helloMu sync.Mutex
 
 	mu      sync.Mutex
 	conn    *wire.Conn
@@ -39,8 +46,9 @@ type Session struct {
 
 	// Lifecycle (guarded by mu; transitions run on the wheel). snap and
 	// deltas are the session's spool chain: the latest snapshot plus every
-	// record appended since. A resident session keeps its last chain as
-	// the crash fallback until the next hibernation supersedes it.
+	// record appended since. With a spool, the chain is current in every
+	// state — resident sessions write ahead too — so replaying it rebuilds
+	// the proxy's upstream input after a crash.
 	state  sessionState
 	snap   spool.Loc
 	deltas []spool.Loc
@@ -58,19 +66,25 @@ var (
 	_ core.BatchForwarder = (*Session)(nil)
 )
 
+// newSession builds the session's directory entry. It takes no lock and
+// enters no wheel, so it is safe under Host.mu; the proxy itself is built
+// by the first attach, on the worker wheel.
 func newSession(h *Host, name string, w *worker) *Session {
-	s := &Session{host: h, name: name, w: w, topics: make(map[string]struct{})}
-	w.wheel.Run(func() {
-		s.proxy = core.New(w.wheel, s)
-		if h.opts.Trace != nil {
-			s.proxy.SetTracer(sessionTracer{node: name, t: h.opts.Trace})
-		}
-		// Upstream arrivals are pooled; the proxy recycles every
-		// reference it drops (forwarding serializes onto the wire first).
-		s.proxy.SetReleaser(burst.Notes.Put)
-		s.proxy.SetNetwork(false) // no device yet
-	})
-	return s
+	return &Session{host: h, name: name, w: w, topics: make(map[string]struct{})}
+}
+
+// newProxy builds an empty proxy bound to the session's wheel, offline
+// until syncNetwork sees a connection. Runs on the wheel.
+func (s *Session) newProxy() *core.Proxy {
+	p := core.New(s.w.wheel, s)
+	if s.host.opts.Trace != nil {
+		p.SetTracer(sessionTracer{node: s.name, t: s.host.opts.Trace})
+	}
+	// Upstream arrivals are pooled; the proxy recycles every reference it
+	// drops (forwarding serializes onto the wire first).
+	p.SetReleaser(burst.Notes.Put)
+	p.SetNetwork(false)
+	return p
 }
 
 // sessionTracer fills the session's name into core events that do not name
@@ -101,9 +115,8 @@ func (s *Session) attach(conn *wire.Conn, batch, traceOK bool) {
 		_ = old.Close()
 	}
 	s.w.wheel.Run(func() {
-		s.cancelHibernate()
 		s.ensureResident()
-		s.proxy.SetNetwork(true)
+		s.syncNetwork()
 	})
 }
 
@@ -117,12 +130,29 @@ func (s *Session) detach(conn *wire.Conn) {
 	}
 	s.conn = nil
 	s.mu.Unlock()
-	s.w.wheel.Run(func() {
-		if s.proxy != nil {
-			s.proxy.SetNetwork(false)
-		}
+	if hook := s.host.testHookDetachGap.Load(); hook != nil {
+		(*hook)(s.name)
+	}
+	s.w.wheel.Run(s.syncNetwork)
+}
+
+// syncNetwork tells the proxy whether a device is attached, reading s.conn
+// as it is now rather than trusting the caller: an attach and a detach
+// racing for the wheel may run in either order, and whichever runs last
+// must leave the proxy matching the live connection. Runs on the wheel.
+func (s *Session) syncNetwork() {
+	if s.proxy == nil {
+		return // hibernated: there is no proxy to tell
+	}
+	s.mu.Lock()
+	up := s.conn != nil
+	s.mu.Unlock()
+	s.proxy.SetNetwork(up)
+	if up {
+		s.cancelHibernate()
+	} else {
 		s.armHibernate()
-	})
+	}
 }
 
 // closeConn drops the session's connection (host shutdown).
@@ -199,6 +229,26 @@ func (s *Session) resume(f *wire.Frame) error {
 	s.mu.Unlock()
 	if s.host.opts.Metrics != nil {
 		s.host.opts.Metrics.ResumeReconciliations.Inc()
+	}
+	return nil
+}
+
+// addTopicDurably adds the topic to the proxy and, with a spool, re-bases
+// the chain on a snapshot that already holds the topic's configuration —
+// in the same wheel callback, before the upstream subscription can deliver
+// anything — so every later delta replays onto a known topic. A failed
+// snapshot leaves the topic added; the old chain then lacks it until the
+// next re-base. Runs on the wheel.
+func (s *Session) addTopicDurably(cfg core.TopicConfig) error {
+	if err := s.proxy.AddTopic(cfg); err != nil {
+		return err
+	}
+	if s.w.spool != nil {
+		topics := s.topicList()
+		if !slices.Contains(topics, cfg.Name) {
+			topics = append(topics, cfg.Name)
+		}
+		s.rebase(topics, nil)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"lasthop/internal/msg"
 	"lasthop/internal/obs"
 	"lasthop/internal/pubsub"
+	"lasthop/internal/retry"
 	"lasthop/internal/spool"
 	"lasthop/internal/trace"
 	"lasthop/internal/wire"
@@ -42,26 +43,32 @@ func (c Config) hostOptions(brokerAddr string, wm *wire.Metrics, collector *trac
 // RunRecovery is the kill/restart chaos drill behind
 // scripts/check_recovery.sh. It drives the phased regime the spool
 // exists for — a node carrying far more sessions than connections — and
-// proves the zero-loss invariant across a crash:
+// proves the zero-loss invariant across two crashes, one with every
+// session hibernated and one with sessions resident and mid-forward:
 //
 //  1. Every device connects (at most Concurrent at once), subscribes to
 //     a pure on-demand topic, and disconnects; the host hibernates all
 //     of them onto the spool.
-//  2. Half the load is published into hibernated sessions; the drill
-//     waits until every copy is a durable spool delta.
-//  3. The host is killed abruptly (no shutdown path runs) and restarted
-//     on the same spool; every session must come back.
-//  4. The remaining load is published into the recovered sessions.
-//  5. Devices reconnect in Concurrent-sized waves and read; the report
-//     gates on every device holding every distinct ID it was owed
-//     (Lost == 0), with duplicates tallied but tolerated.
+//  2. The first third of the load is published into hibernated sessions;
+//     the drill waits until every copy is a durable spool delta, kills
+//     the host abruptly (no shutdown path runs) and restarts it on the
+//     same spool and address. Every session must come back.
+//  3. Concurrent devices reconnect and stay connected, reading in a loop
+//     with auto-reconnecting clients, so their sessions are resident.
+//     The second third is published; once every copy is written ahead,
+//     the host is killed again while those READs are in flight, and
+//     restarted. The readers resume their sessions (§3.5 read-ID sets)
+//     and carry on.
+//  4. The last third is published into the recovered sessions.
+//  5. The remaining devices reconnect in Concurrent-sized waves and
+//     read; the report gates on every device holding every distinct ID
+//     it was owed (Lost == 0), with duplicates tallied but tolerated.
 //
 // Topics are pure on-demand so nothing transfers to a device before its
 // READ — the regime where the spool chain, not device-side state, is the
-// sole copy across the kill.
+// sole copy across a kill.
 func RunRecovery(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	cfg.MultiTenant = true
 	cfg.OnDemand = true
 	if cfg.HibernateAfter <= 0 {
 		cfg.HibernateAfter = 100 * time.Millisecond
@@ -86,6 +93,9 @@ func RunRecovery(cfg Config) (*Report, error) {
 	}
 	if concurrent > 256 {
 		concurrent = 256
+	}
+	if concurrent > cfg.Devices {
+		concurrent = cfg.Devices
 	}
 	deadline := time.Now().Add(cfg.Timeout)
 
@@ -118,7 +128,7 @@ func RunRecovery(cfg Config) (*Report, error) {
 		cfg.Logf("loadgen: observability on http://%s/metrics", srv.Addr())
 	}
 
-	// The broker outlives the host kill: only the last-hop node crashes.
+	// The broker outlives the host kills: only the last-hop node crashes.
 	blis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -137,7 +147,7 @@ func RunRecovery(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, hostAddr, err := startHost(hostOpts)
+	h, hostAddr, _, err := startHost(hostOpts, "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +164,9 @@ func RunRecovery(cfg Config) (*Report, error) {
 		topics[i] = fmt.Sprintf("load/t%03d", i)
 	}
 	// Notification i goes to topic i mod Topics; device i subscribes to
-	// topic i mod Topics. subsPerTopic lets the drill convert "published
-	// n into topic t" into an exact expected spool-delta count.
+	// topic i mod Topics. subsPerTopic converts "published [from, to)"
+	// into an exact expected spool-delta count: every session writes
+	// every arrival ahead, resident or not.
 	subsPerTopic := make([]int, cfg.Topics)
 	for i := 0; i < cfg.Devices; i++ {
 		subsPerTopic[i%cfg.Topics]++
@@ -164,16 +175,24 @@ func RunRecovery(cfg Config) (*Report, error) {
 	for i := 0; i < cfg.Notifications; i++ {
 		perTopicTotal[i%cfg.Topics]++
 	}
+	deltasFor := func(from, to int) int64 {
+		n := 0
+		for i := from; i < to; i++ {
+			n += subsPerTopic[i%cfg.Topics]
+		}
+		return int64(n)
+	}
 
 	// Pure on-demand: the session queues everything until a READ, so the
-	// spool snapshot/delta chain is the only copy while disconnected.
+	// spool snapshot/delta chain is the only copy across a kill.
 	policy := wire.TopicPolicy{Mode: "on-demand", Policy: "on-demand"}
+	devName := func(i int) string { return fmt.Sprintf("lg-dev-%d", i) }
 
 	// Phase 1: subscribe-and-disconnect waves.
 	cfg.Logf("loadgen: phase 1: subscribing %d sessions, %d connected at a time", cfg.Devices, concurrent)
 	start := time.Now()
 	if err := inWaves(cfg.Devices, concurrent, func(i int) error {
-		dev, err := wire.DialProxyOpts(hostAddr, fmt.Sprintf("lg-dev-%d", i), wire.ClientOptions{Metrics: wm, Trace: collector})
+		dev, err := wire.DialProxyOpts(hostAddr, devName(i), wire.ClientOptions{Metrics: wm, Trace: collector})
 		if err != nil {
 			return fmt.Errorf("device %d: %w", i, err)
 		}
@@ -202,61 +221,91 @@ func RunRecovery(cfg Config) (*Report, error) {
 	for i := range payload {
 		payload[i] = byte('a' + i%26)
 	}
+	firstThird, secondThird := cfg.Notifications/3, 2*cfg.Notifications/3
 
-	// Phase 2: first half of the load lands in hibernated sessions.
-	firstHalf := cfg.Notifications / 2
-	wantDeltas := 0
-	for i := 0; i < firstHalf; i++ {
-		wantDeltas += subsPerTopic[i%cfg.Topics]
+	// publishSpooled publishes [from, to) and waits until every copy is a
+	// spool delta on the current host.
+	publishSpooled := func(from, to int) error {
+		before := h.Lifecycle().SpooledDeltas
+		if err := publishRange(cfg, pubs, topics, payload, from, to); err != nil {
+			return err
+		}
+		want := before + deltasFor(from, to)
+		return waitUntil(deadline, fmt.Sprintf("notifications [%d, %d) spooled", from, to), func() bool {
+			return h.Lifecycle().SpooledDeltas >= want
+		})
 	}
-	cfg.Logf("loadgen: phase 2: publishing %d notifications into hibernated sessions", firstHalf)
-	if err := publishRange(cfg, pubs, topics, payload, 0, firstHalf); err != nil {
+	// crash kills the host without any shutdown path and restarts it on
+	// the same spool and address; every session must come back.
+	recovered := cfg.Devices
+	crash := func(what string) error {
+		cfg.Logf("loadgen: killing host with %s", what)
+		h.Kill()
+		var n int
+		h, hostAddr, n, err = startHost(hostOpts, hostAddr)
+		if err != nil {
+			return fmt.Errorf("restart after kill: %w", err)
+		}
+		alive = h
+		cfg.Logf("loadgen: restarted, %d of %d sessions recovered", n, cfg.Devices)
+		recovered = min(recovered, n)
+		if n != cfg.Devices {
+			return fmt.Errorf("recovery: %d of %d sessions survived the kill", n, cfg.Devices)
+		}
+		return nil
+	}
+
+	// Phase 2: the first third lands in hibernated sessions, then crash.
+	cfg.Logf("loadgen: phase 2: publishing %d notifications into hibernated sessions", firstThird)
+	if err := publishSpooled(0, firstThird); err != nil {
 		return nil, err
 	}
-	if err := waitUntil(deadline, "first wave spooled", func() bool {
-		return h.Lifecycle().SpooledDeltas >= int64(wantDeltas)
-	}); err != nil {
+	if err := crash("every session hibernated"); err != nil {
 		return nil, err
 	}
 
-	// Phase 3: crash. Kill drops every in-memory structure without
-	// running any shutdown path; the restarted host must rebuild every
-	// session and upstream subscription from the spool alone.
-	cfg.Logf("loadgen: phase 3: killing host with %d deltas on disk", wantDeltas)
-	h.Kill()
-	h, hostAddr, err = startHost(hostOpts)
-	if err != nil {
-		return nil, fmt.Errorf("restart after kill: %w", err)
+	// Phase 3: resident readers, the second third, and a crash while
+	// their READs are in flight.
+	readers := make([]*residentReader, concurrent)
+	for i := range readers {
+		topic := topics[i%cfg.Topics]
+		dev, err := wire.DialProxyOpts(hostAddr, devName(i), wire.ClientOptions{
+			Metrics: wm, Trace: collector, AutoReconnect: true,
+			Backoff:     retry.Policy{Initial: 10 * time.Millisecond, Max: 200 * time.Millisecond},
+			DialTimeout: time.Second,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("resident device %d: %w", i, err)
+		}
+		defer dev.Close()
+		if err := dev.Subscribe(topic, policy); err != nil {
+			return nil, fmt.Errorf("resident subscribe %d: %w", i, err)
+		}
+		readers[i] = &residentReader{dev: dev, topic: topic, expect: perTopicTotal[i%cfg.Topics],
+			seen: make(map[msg.ID]bool), done: make(chan struct{})}
+		go readers[i].run(deadline, latency)
 	}
-	alive = h
-	recovered := h.Lifecycle().Hibernated
-	cfg.Logf("loadgen: phase 3: restarted, %d of %d sessions recovered", recovered, cfg.Devices)
-	if recovered != cfg.Devices {
-		return nil, fmt.Errorf("recovery: %d of %d sessions survived the kill", recovered, cfg.Devices)
-	}
-
-	// Phase 4: remaining load into the recovered sessions. The restarted
-	// host's delta counter starts at zero.
-	secondHalf := cfg.Notifications - firstHalf
-	wantDeltas2 := 0
-	for i := firstHalf; i < cfg.Notifications; i++ {
-		wantDeltas2 += subsPerTopic[i%cfg.Topics]
-	}
-	cfg.Logf("loadgen: phase 4: publishing %d notifications into recovered sessions", secondHalf)
-	if err := publishRange(cfg, pubs, topics, payload, firstHalf, cfg.Notifications); err != nil {
+	cfg.Logf("loadgen: phase 3: %d sessions resident and reading; publishing %d notifications",
+		concurrent, secondThird-firstThird)
+	if err := publishSpooled(firstThird, secondThird); err != nil {
 		return nil, err
 	}
-	if err := waitUntil(deadline, "second wave spooled", func() bool {
-		return h.Lifecycle().SpooledDeltas >= int64(wantDeltas2)
-	}); err != nil {
+	if err := crash(fmt.Sprintf("%d sessions resident and mid-forward", concurrent)); err != nil {
+		return nil, err
+	}
+
+	// Phase 4: the last third into the recovered sessions.
+	cfg.Logf("loadgen: phase 4: publishing %d notifications into recovered sessions", cfg.Notifications-secondThird)
+	if err := publishSpooled(secondThird, cfg.Notifications); err != nil {
 		return nil, err
 	}
 	publishElapsed := time.Since(start)
 
-	// Phase 5: reconnect in waves and read everything back. Each device
-	// is owed every notification of its topic, from both sides of the
-	// kill; IDs are counted distinctly so redelivery shows up as
-	// duplicates, not progress.
+	// Phase 5: the resident readers finish, and every other device
+	// reconnects in waves and reads everything back. Each device is owed
+	// every notification of its topic, from all sides of the kills; IDs
+	// are counted distinctly so redelivery shows up as duplicates, not
+	// progress.
 	cfg.Logf("loadgen: phase 5: draining %d sessions, %d connected at a time", cfg.Devices, concurrent)
 	var (
 		tallyMu    sync.Mutex
@@ -264,10 +313,24 @@ func RunRecovery(cfg Config) (*Report, error) {
 		duplicates int
 		lost       int
 	)
-	drainErr := inWaves(cfg.Devices, concurrent, func(i int) error {
+	var drainErr error
+	for i, r := range readers {
+		<-r.done
+		// Resume replays a device already holds or consumed count as
+		// duplicates too, alongside reads it saw twice.
+		_, updates, _ := r.dev.Stats()
+		delivered += len(r.seen)
+		duplicates += r.dups + updates
+		lost += r.expect - len(r.seen)
+		if r.err != nil && drainErr == nil {
+			drainErr = fmt.Errorf("resident device %d: %w", i, r.err)
+		}
+	}
+	err = inWaves(cfg.Devices-concurrent, concurrent, func(k int) error {
+		i := concurrent + k
 		topic := topics[i%cfg.Topics]
 		expect := perTopicTotal[i%cfg.Topics]
-		dev, err := wire.DialProxyOpts(hostAddr, fmt.Sprintf("lg-dev-%d", i), wire.ClientOptions{Metrics: wm, Trace: collector})
+		dev, err := wire.DialProxyOpts(hostAddr, devName(i), wire.ClientOptions{Metrics: wm, Trace: collector})
 		if err != nil {
 			return fmt.Errorf("drain device %d: %w", i, err)
 		}
@@ -275,35 +338,21 @@ func RunRecovery(cfg Config) (*Report, error) {
 		if err := dev.Subscribe(topic, policy); err != nil {
 			return fmt.Errorf("drain subscribe %d: %w", i, err)
 		}
-		seen := make(map[msg.ID]bool, expect)
-		dups := 0
-		for len(seen) < expect && time.Now().Before(deadline) {
-			batch, err := dev.Read(topic, 0)
-			if err != nil {
-				return fmt.Errorf("drain read %d: %w", i, err)
-			}
-			for _, n := range batch {
-				if seen[n.ID] {
-					dups++
-					continue
-				}
-				seen[n.ID] = true
-				latency.Observe(time.Since(n.Published).Seconds())
-			}
-			if len(batch) == 0 {
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
+		r := &residentReader{dev: dev, topic: topic, expect: expect, seen: make(map[msg.ID]bool, expect)}
+		r.read(deadline, latency)
 		tallyMu.Lock()
-		delivered += len(seen)
-		duplicates += dups
-		lost += expect - len(seen)
+		delivered += len(r.seen)
+		duplicates += r.dups
+		lost += expect - len(r.seen)
 		tallyMu.Unlock()
-		if len(seen) < expect {
-			return fmt.Errorf("device %d: read %d of %d before deadline", i, len(seen), expect)
+		if r.err != nil {
+			return fmt.Errorf("drain device %d: %w", i, r.err)
 		}
 		return nil
 	})
+	if drainErr == nil {
+		drainErr = err
+	}
 	deliverElapsed := time.Since(start)
 
 	if collector != nil {
@@ -353,20 +402,64 @@ func RunRecovery(cfg Config) (*Report, error) {
 	return rep, drainErr
 }
 
-// startHost boots a host on a fresh loopback listener and returns its
-// dial address.
-func startHost(opts host.Options) (*host.Host, string, error) {
+// residentReader reads one device's topic until it has seen every owed
+// ID or the deadline passes, counting distinct IDs and repeats.
+type residentReader struct {
+	dev    *wire.DeviceClient
+	topic  string
+	expect int
+	seen   map[msg.ID]bool
+	dups   int
+	err    error
+	done   chan struct{} // closed when run returns
+}
+
+// run is read on its own goroutine.
+func (r *residentReader) run(deadline time.Time, latency *obs.Histogram) {
+	defer close(r.done)
+	r.read(deadline, latency)
+}
+
+func (r *residentReader) read(deadline time.Time, latency *obs.Histogram) {
+	for len(r.seen) < r.expect && time.Now().Before(deadline) {
+		batch, err := r.dev.Read(r.topic, 0)
+		if err != nil {
+			r.err = err
+			return
+		}
+		for _, n := range batch {
+			if r.seen[n.ID] {
+				r.dups++
+				continue
+			}
+			r.seen[n.ID] = true
+			latency.Observe(time.Since(n.Published).Seconds())
+		}
+		if len(batch) == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if len(r.seen) < r.expect && r.err == nil {
+		r.err = fmt.Errorf("read %d of %d before deadline", len(r.seen), r.expect)
+	}
+}
+
+// startHost boots a host on a loopback listener at addr (port 0 picks a
+// fresh one) and returns its dial address and how many sessions it
+// recovered from the spool before serving.
+func startHost(opts host.Options, addr string) (*host.Host, string, int, error) {
 	h, err := host.New(opts)
 	if err != nil {
-		return nil, "", fmt.Errorf("host: %w", err)
+		return nil, "", 0, fmt.Errorf("host: %w", err)
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	recovered := len(h.Sessions())
+	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		h.Close()
-		return nil, "", err
+		return nil, "", 0, err
 	}
 	go func() { _ = h.Serve(lis) }()
-	return h, lis.Addr().String(), nil
+	return h, lis.Addr().String(), recovered, nil
 }
 
 // dialPublishers connects the configured publisher pool, advertising

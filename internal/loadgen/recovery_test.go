@@ -7,9 +7,10 @@ import (
 
 // TestRunRecovery drives the full kill/restart drill at smoke scale:
 // subscribe-and-disconnect, publish into hibernated sessions, SIGKILL
-// the host, restart on the same spool, publish more, drain. The gate is
-// the drill's own: every session recovered, zero lost, duplicates
-// tallied.
+// the host, restart on the same spool; publish again while three
+// sessions are resident and reading, SIGKILL again mid-forward, restart,
+// publish more, drain. The gate is the drill's own: every session
+// recovered, zero lost, duplicates tallied.
 func TestRunRecovery(t *testing.T) {
 	rep, err := RunRecovery(Config{
 		Publishers:    2,

@@ -109,7 +109,8 @@ type Phase struct {
 	ReviseToRank  float64 `json:"reviseToRank,omitempty"`
 
 	// AwaitSpooled waits until every copy of this phase's publishes is a
-	// durable spool delta of a hibernated session.
+	// durable spool delta (every subscribed session writes each arrival
+	// ahead, connected or not).
 	AwaitSpooled bool `json:"awaitSpooled,omitempty"`
 	// AwaitPushes waits until every connected device has received every
 	// notification published to its topic so far (on-line mode).
@@ -436,7 +437,6 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 			Topics:        sc.Topics,
 			Notifications: total,
 			OnDemand:      sc.OnDemand,
-			MultiTenant:   true,
 			TraceSample:   1,
 		},
 		Published:      total,
@@ -653,7 +653,7 @@ func (r *scenarioRun) runPhase(ph Phase) error {
 	if ph.AwaitSpooled {
 		want := deltaBase
 		for t, n := range publishedThisPhase {
-			want += int64(n * r.hibernatedSubs(t))
+			want += int64(n * r.topicSubs(t))
 		}
 		if err := waitUntil(r.deadline, "phase publishes spooled", func() bool {
 			return r.h.Lifecycle().SpooledDeltas >= want
@@ -677,12 +677,12 @@ func (r *scenarioRun) runPhase(ph Phase) error {
 	return nil
 }
 
-// hibernatedSubs counts devices subscribed to topic index t that are
-// currently detached (their session copies spool as deltas).
-func (r *scenarioRun) hibernatedSubs(t int) int {
+// topicSubs counts the devices subscribed to topic index t; with a spool
+// each of their sessions writes every arrival ahead as a delta.
+func (r *scenarioRun) topicSubs(t int) int {
 	n := 0
 	for _, d := range r.devices {
-		if d.topicIdx%r.sc.Topics == t && d.client() == nil {
+		if d.topicIdx%r.sc.Topics == t {
 			n++
 		}
 	}

@@ -34,7 +34,7 @@ type DelayedEntry struct {
 	Quiet  bool      `json:"quiet,omitempty"`
 }
 
-// SpoolDelta is one incremental spool record for a hibernated session: a
+// SpoolDelta is one incremental spool record of a session's chain: a
 // notification that arrived (with its trace context, which Notification's
 // own JSON form omits), a rank revision, or a topic-membership correction.
 // Exactly one field group is set. Rehydration replays deltas in record
@@ -42,19 +42,15 @@ type DelayedEntry struct {
 // idempotent for re-arrivals (a known ID is treated as a rank revision),
 // so duplicated deltas after a crashed compaction are harmless.
 //
-// The membership corrections exist because a snapshot's SpoolMeta.Topics
-// goes stale the moment the session subscribes or unsubscribes afterwards:
-// without them, crash recovery would resurrect an unsubscribed topic (a
-// phantom upstream subscription) or drop a re-subscribed one. Unsubscribe
-// names a topic the session dropped after the snapshot; Subscribe names one
-// it re-added. Subscribe carries no per-topic configuration — it corrects
-// the membership set for recovery, and the proxy-side state returns with
-// the device's reasserting subscribe on reconnect.
+// Unsubscribe names a topic the session dropped after the chain's
+// snapshot: without it, crash recovery would resurrect the topic from the
+// snapshot's SpoolMeta.Topics as a phantom upstream subscription. A
+// subscribe needs no correction — it always starts a new chain from a
+// snapshot that holds the topic.
 type SpoolDelta struct {
 	Notification *Notification `json:"notification,omitempty"`
 	Trace        *TraceContext `json:"trace,omitempty"`
 	Rank         *RankUpdate   `json:"rank,omitempty"`
-	Subscribe    string        `json:"subscribe,omitempty"`
 	Unsubscribe  string        `json:"unsubscribe,omitempty"`
 }
 

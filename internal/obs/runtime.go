@@ -42,9 +42,16 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		"Go garbage-collection stop-the-world pause durations.",
 		ExpBuckets(1e-6, 4, 10))
 
-	var prevNumGC uint32
+	// Concurrent scrapes each run the hook; mu keeps the GC-pause diff
+	// against prevNumGC from double-counting or racing.
+	var (
+		mu        sync.Mutex
+		prevNumGC uint32
+	)
 	pageSize := int64(os.Getpagesize())
 	reg.OnScrape(func() {
+		mu.Lock()
+		defer mu.Unlock()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		goroutines.Set(float64(runtime.NumGoroutine()))

@@ -441,6 +441,19 @@ func (b *Broker) sendInterest(topic string, adds, drops []Peer) {
 
 // Unsubscribe removes the subscriber from the topic.
 func (b *Broker) Unsubscribe(topic, subscriber string) error {
+	return b.unsubscribe(topic, subscriber, nil)
+}
+
+// UnsubscribeBound removes the subscriber from the topic only while its
+// subscription is still bound to sub. A connection tearing down uses it
+// so it cannot drop the subscription a newer connection rebound under the
+// same name (a restarted node re-subscribing before the broker noticed
+// its old connection die); it then reports nil.
+func (b *Broker) UnsubscribeBound(topic, subscriber string, sub Subscriber) error {
+	return b.unsubscribe(topic, subscriber, sub)
+}
+
+func (b *Broker) unsubscribe(topic, subscriber string, bound Subscriber) error {
 	sh := b.shard(topic)
 	sh.mu.Lock()
 	st, ok := sh.topics[topic]
@@ -448,9 +461,14 @@ func (b *Broker) Unsubscribe(topic, subscriber string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotSubscribed, topic)
 	}
-	if _, ok := st.subs[subscriber]; !ok {
+	cur, ok := st.subs[subscriber]
+	if !ok {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q on %q", ErrNotSubscribed, subscriber, topic)
+	}
+	if bound != nil && cur.sub != bound {
+		sh.mu.Unlock()
+		return nil
 	}
 	delete(st.subs, subscriber)
 	st.refreshSubs()

@@ -154,6 +154,38 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestUnsubscribeBoundKeepsRebinding: a stale connection's teardown must
+// not drop the subscription a newer connection rebound under the same
+// name, while the current binding's own teardown still removes it.
+func TestUnsubscribeBoundKeepsRebinding(t *testing.T) {
+	b := NewBroker("b1")
+	old, cur := &recorder{}, &recorder{}
+	if err := b.Advertise("news", "pub"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Subscribe(sub("news", "host"), old); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Subscribe(sub("news", "host"), cur); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.UnsubscribeBound("news", "host", old); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish(note("n1", "news", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if cur.count() != 1 || old.count() != 0 {
+		t.Fatalf("after stale teardown: current got %d, stale got %d; want 1 and 0", cur.count(), old.count())
+	}
+	if err := b.UnsubscribeBound("news", "host", cur); err != nil {
+		t.Fatal(err)
+	}
+	if subs := b.Subscribers("news"); len(subs) != 0 {
+		t.Fatalf("subscribers after the current binding's teardown = %v", subs)
+	}
+}
+
 func TestResubscribeReplacesOptions(t *testing.T) {
 	b := NewBroker("b1")
 	r := &recorder{}

@@ -3,14 +3,10 @@ package wire
 import (
 	"io"
 	"net"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lasthop/internal/msg"
-	"lasthop/internal/pubsub"
 )
 
 // benchPair returns a frame connection whose peer discards everything it
@@ -71,148 +67,4 @@ func BenchmarkWireThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchBatch is the publish pipelining width of the forward-path
-// benchmarks: the burst size the datapath is designed around.
-const benchBatch = 64
-
-// benchDrainEvery bounds the device-side store during a long run: every
-// this many deliveries the driver issues a read, consuming the local
-// queue inside the timed region (a real device reads too). Keeping it
-// modest also keeps the device's ranked queue shallow, as it is on a
-// phone that reads regularly.
-const benchDrainEvery = 1024
-
-// benchPublishers is how many pipelined publish streams the forward-path
-// benchmarks keep in flight. One stop-and-wait batch stream leaves the
-// pipeline idle for a full round-trip between bursts; a few concurrent
-// streams keep every stage busy, which is the regime the numbers are
-// quoted for.
-const benchPublishers = 32
-
-// BenchmarkProxyForwardPath measures the full last-hop pipeline: publisher
-// → broker server → proxy (on-line topic) → device client, counting a
-// notification as done when the device has stored it. Publishes ride the
-// pipelined batch path in bursts of benchBatch, the steady-state regime
-// the burst datapath targets; notification objects and IDs are prepared
-// outside the timed region so the measured allocations are the
-// datapath's own.
-func BenchmarkProxyForwardPath(b *testing.B) {
-	bl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := NewBrokerServer(pubsub.NewBroker("bench-broker"), nil)
-	go func() { _ = bs.Serve(bl) }()
-	defer bs.Close()
-
-	ps, err := NewProxyServer(bl.Addr().String(), "bench-proxy", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ps.Close()
-	pl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = ps.Serve(pl) }()
-
-	dev, err := DialProxy(pl.Addr().String(), "bench-device")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dev.Close()
-	if err := dev.Subscribe("bench/online", TopicPolicy{Mode: "on-line"}); err != nil {
-		b.Fatal(err)
-	}
-
-	pubs := make([]*BrokerClient, benchPublishers)
-	for w := range pubs {
-		pub, err := DialBroker(bl.Addr().String(), "bench-pub-"+strconv.Itoa(w))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pub.Close()
-		if err := pub.Advertise("bench/online", "bench-pub"); err != nil {
-			b.Fatal(err)
-		}
-		pubs[w] = pub
-	}
-
-	base := time.Unix(1700000000, 0).UTC()
-	ids := make([]msg.ID, b.N)
-	for i := range ids {
-		ids[i] = msg.ID("fwd-" + strconv.FormatInt(int64(i), 10))
-	}
-	noteSets := make([][]*msg.Notification, benchPublishers)
-	for w := range noteSets {
-		notes := make([]*msg.Notification, benchBatch)
-		for i := range notes {
-			notes[i] = &msg.Notification{Topic: "bench/online", Rank: 3, Published: base}
-		}
-		noteSets[w] = notes
-	}
-	chunk := (b.N + benchPublishers - 1) / benchPublishers
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	var benchErr atomic.Value
-	for w := 0; w < benchPublishers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > b.N {
-			hi = b.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(pub *BrokerClient, notes []*msg.Notification, lo, hi int) {
-			defer wg.Done()
-			for sent := lo; sent < hi; {
-				k := benchBatch
-				if left := hi - sent; k > left {
-					k = left
-				}
-				for j := 0; j < k; j++ {
-					notes[j].ID = ids[sent+j]
-				}
-				for _, err := range pub.PublishBatch(notes[:k]) {
-					if err != nil {
-						benchErr.Store(err)
-						return
-					}
-				}
-				sent += k
-			}
-		}(pubs[w], noteSets[w], lo, hi)
-	}
-	// Drain the device store as deliveries accumulate and wait for every
-	// published notification to land.
-	deadline := time.Now().Add(30 * time.Second)
-	lastDrain := 0
-	for {
-		if err, ok := benchErr.Load().(error); ok {
-			b.Fatal(err)
-		}
-		received, _, _ := dev.Stats()
-		if received-lastDrain >= benchDrainEvery {
-			lastDrain = received
-			if _, err := dev.Read("bench/online", 0); err != nil {
-				b.Fatal(err)
-			}
-			continue
-		}
-		if received >= b.N {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("device received %d of %d", received, b.N)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	wg.Wait()
-	b.StopTimer()
 }

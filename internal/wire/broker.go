@@ -199,11 +199,18 @@ func (s *BrokerServer) handle(conn *Conn) {
 	}()
 	clientName := conn.RemoteAddr()
 	var clientCaps []string
-	var subscribed []string
+	type binding struct {
+		topic, name string
+		sub         connSubscriber
+	}
+	var subscribed []binding
 	defer func() {
-		for _, topic := range subscribed {
-			if err := s.broker.Unsubscribe(topic, clientName); err != nil {
-				s.logf("broker: cleanup unsubscribe %s from %s: %v", clientName, topic, err)
+		// Only drop what this connection still holds: a client that
+		// reconnected (or restarted) under the same name may already have
+		// rebound these subscriptions to its new connection.
+		for _, b := range subscribed {
+			if err := s.broker.UnsubscribeBound(b.topic, b.name, b.sub); err != nil {
+				s.logf("broker: cleanup unsubscribe %s from %s: %v", b.name, b.topic, err)
 			}
 		}
 	}()
@@ -276,9 +283,10 @@ func (s *BrokerServer) handle(conn *Conn) {
 			}
 			// Re-subscribing with the same subscriber name rebinds delivery
 			// to this connection — exactly what a resuming client needs.
-			err := s.broker.Subscribe(sub, connSubscriber{conn: conn, trace: HasCap(clientCaps, CapTrace)})
+			cs := connSubscriber{conn: conn, trace: HasCap(clientCaps, CapTrace)}
+			err := s.broker.Subscribe(sub, cs)
 			if err == nil {
-				subscribed = append(subscribed, sub.Topic)
+				subscribed = append(subscribed, binding{sub.Topic, sub.Subscriber, cs})
 			}
 			s.respondErr(conn, f, err)
 		case TypeUnsubscribe:

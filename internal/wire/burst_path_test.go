@@ -122,7 +122,6 @@ func TestSeenSetDuplicatePutOnce(t *testing.T) {
 	}
 
 	pub.Close()
-	h.proxy.Close()
 	h.broker.Close()
 	settlePools(t, notesBase, bufsBase, 2*time.Second)
 	if got := burst.Notes.DoublePuts() + burst.Bufs.DoublePuts(); got != doubleBase {
@@ -168,7 +167,6 @@ func TestPublishBatchPooledLifecycle(t *testing.T) {
 	}
 
 	pub.Close()
-	h.proxy.Close()
 	h.broker.Close()
 	settlePools(t, notesBase, bufsBase, 2*time.Second)
 }

@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"fmt"
@@ -8,9 +8,11 @@ import (
 
 	"lasthop/internal/burst"
 	"lasthop/internal/faultnet"
+	"lasthop/internal/host"
 	"lasthop/internal/msg"
 	"lasthop/internal/pubsub"
 	"lasthop/internal/retry"
+	"lasthop/internal/wire"
 )
 
 // chaosN is the publish volume of the chaos scenario.
@@ -25,8 +27,8 @@ type chaosResult struct {
 // chaosClientOptions is the fault-tolerant device configuration used by
 // the chaos runs: fast backoff and heartbeats so the test converges in
 // seconds rather than the minutes a production schedule would take.
-func chaosClientOptions(t *testing.T) ClientOptions {
-	return ClientOptions{
+func chaosClientOptions(t *testing.T) wire.ClientOptions {
+	return wire.ClientOptions{
 		AutoReconnect:     true,
 		Backoff:           retry.Policy{Initial: 10 * time.Millisecond, Max: 100 * time.Millisecond, Seed: 1},
 		HeartbeatInterval: 50 * time.Millisecond, // derives a 150ms read deadline
@@ -46,20 +48,21 @@ func runChaosScenario(t *testing.T, chaotic bool) chaosResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := NewBrokerServer(pubsub.NewBroker("chaos-broker"), t.Logf)
+	bs := wire.NewBrokerServer(pubsub.NewBroker("chaos-broker"), t.Logf)
 	go func() { _ = bs.Serve(bl) }()
 	defer bs.Close()
 
-	ps, err := NewProxyServerOpts(ProxyOptions{
+	h, err := host.New(host.Options{
 		BrokerAddr:         bl.Addr().String(),
 		Name:               "chaos-proxy",
+		Workers:            1,
 		DeviceWriteTimeout: 500 * time.Millisecond,
 		Logf:               t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
+	defer h.Close()
 	rawLis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +70,9 @@ func runChaosScenario(t *testing.T, chaotic bool) chaosResult {
 	// The fault injector sits on the device-facing listener: the last hop
 	// is where the paper locates the volatility.
 	flis := faultnet.Wrap(rawLis, faultnet.Options{Seed: 7})
-	go func() { _ = ps.Serve(flis) }()
+	go func() { _ = h.Serve(flis) }()
 
-	pub, err := DialBroker(bl.Addr().String(), "publisher")
+	pub, err := wire.DialBroker(bl.Addr().String(), "publisher")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +81,12 @@ func runChaosScenario(t *testing.T, chaotic bool) chaosResult {
 		t.Fatal(err)
 	}
 
-	dev, err := DialProxyOpts(flis.Addr().String(), "phone", chaosClientOptions(t))
+	dev, err := wire.DialProxyOpts(flis.Addr().String(), "phone", chaosClientOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "buffer", PrefetchLimit: chaosN * 2}); err != nil {
+	if err := dev.Subscribe("news", wire.TopicPolicy{Policy: "buffer", PrefetchLimit: chaosN * 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,7 +189,7 @@ func TestChaosDeviceConvergesUnderFaults(t *testing.T) {
 // pushes keep flowing on the resumed session.
 func TestDeviceAutoReconnectResumesSession(t *testing.T) {
 	h := newHarness(t)
-	pub, err := DialBroker(h.brokerAddr, "publisher")
+	pub, err := wire.DialBroker(h.brokerAddr, "publisher")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +197,12 @@ func TestDeviceAutoReconnectResumesSession(t *testing.T) {
 	if err := pub.Advertise("news", ""); err != nil {
 		t.Fatal(err)
 	}
-	dev, err := DialProxyOpts(h.proxyAddr, "phone", chaosClientOptions(t))
+	dev, err := wire.DialProxyOpts(h.proxyAddr, "phone", chaosClientOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "buffer", Max: 4, PrefetchLimit: 10}); err != nil {
+	if err := dev.Subscribe("news", wire.TopicPolicy{Policy: "buffer", Max: 4, PrefetchLimit: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pub.Publish(wireNote("before", "news", 3)); err != nil {
@@ -208,7 +211,7 @@ func TestDeviceAutoReconnectResumesSession(t *testing.T) {
 	waitFor(t, "prefetch before loss", func() bool { return dev.QueueLen("news") == 1 })
 
 	// The radio drops.
-	_ = dev.currentConn().Close()
+	wire.DropConn(dev)
 	waitFor(t, "session resumption", func() bool { return dev.Reconnects() >= 1 })
 
 	if err := pub.Publish(wireNote("after", "news", 4)); err != nil {
@@ -224,7 +227,7 @@ func TestDeviceAutoReconnectResumesSession(t *testing.T) {
 		t.Fatalf("read %d after resume, want 2", len(batch))
 	}
 	// The proxy kept the session across the disconnect.
-	sessions := h.proxy.Sessions()
+	sessions := h.host.Sessions()
 	if len(sessions) != 1 || sessions[0].Name != "phone" || sessions[0].Connects < 2 {
 		t.Errorf("sessions = %+v, want phone with >= 2 connects", sessions)
 	}
@@ -238,7 +241,7 @@ func TestFederationAutoReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	brokerA := pubsub.NewBroker("broker-a")
-	srvA := NewBrokerServer(brokerA, t.Logf)
+	srvA := wire.NewBrokerServer(brokerA, t.Logf)
 	go func() { _ = srvA.Serve(la) }()
 	defer srvA.Close()
 
@@ -248,17 +251,17 @@ func TestFederationAutoReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	flis := faultnet.Wrap(lb, faultnet.Options{Seed: 3})
-	srvB := NewBrokerServer(pubsub.NewBroker("broker-b"), t.Logf)
+	srvB := wire.NewBrokerServer(pubsub.NewBroker("broker-b"), t.Logf)
 	go func() { _ = srvB.Serve(flis) }()
 	defer srvB.Close()
 
-	fed, err := FederateBrokerOpts(brokerA, flis.Addr().String(), "broker-a", chaosClientOptions(t))
+	fed, err := wire.FederateBrokerOpts(brokerA, flis.Addr().String(), "broker-a", chaosClientOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fed.Close()
 
-	pub, err := DialBroker(la.Addr().String(), "publisher")
+	pub, err := wire.DialBroker(la.Addr().String(), "publisher")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +269,7 @@ func TestFederationAutoReconnect(t *testing.T) {
 	if err := pub.Advertise("news", ""); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := DialBrokerOpts(flis.Addr().String(), "subscriber", chaosClientOptions(t))
+	sub, err := wire.DialBrokerOpts(flis.Addr().String(), "subscriber", chaosClientOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"lasthop/internal/trace"
 )
 
-// DeviceClient is the mobile client of a ProxyServer: it keeps a local
+// DeviceClient is the mobile client of a proxy host: it keeps a local
 // ranked queue per topic (fed by proxy pushes), and implements the §3.5
 // READ protocol — offering its best local events so the proxy only
 // transfers better data.

@@ -7,12 +7,13 @@
 // Topology:
 //
 //	publisher ──┐
-//	            ├── BrokerServer ──(BrokerClient)── ProxyServer ──(DeviceClient)── device
+//	            ├── BrokerServer ──(BrokerClient)── host.Host ──(DeviceClient)── device
 //	publisher ──┘
 //
-// The device⇄proxy TCP connection is the "last hop": while no device is
-// connected the proxy considers the network down and spools notifications
-// exactly as in the simulation.
+// The device⇄host TCP connection is the "last hop": while a device is not
+// connected its session's proxy considers the network down and spools
+// notifications exactly as in the simulation. The proxy host itself
+// lives in internal/host, which builds on this package.
 package wire
 
 import (
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"lasthop/internal/burst"
+	"lasthop/internal/core"
 	"lasthop/internal/flight"
 	"lasthop/internal/msg"
 )
@@ -203,6 +205,56 @@ type TopicPolicy struct {
 type QuietWindowSpec struct {
 	StartMinutes int `json:"startMinutes"`
 	EndMinutes   int `json:"endMinutes"`
+}
+
+// ToConfig maps the wire policy onto a core topic configuration. An empty
+// policy yields the paper's unified configuration.
+func (tp TopicPolicy) ToConfig(topic string) (core.TopicConfig, error) {
+	cfg := core.UnifiedConfig(topic, tp.Max)
+	if tp.Mode != "" {
+		mode, err := msg.ParseDeliveryMode(tp.Mode)
+		if err != nil {
+			return core.TopicConfig{}, err
+		}
+		cfg.Mode = mode
+	}
+	switch tp.Policy {
+	case "", "unified":
+		// keep the unified defaults
+	case "online":
+		cfg.Policy = core.Online
+		cfg.AutoPrefetchLimit = false
+		cfg.AutoExpirationThreshold = false
+	case "on-demand", "ondemand":
+		cfg.Policy = core.OnDemand
+		cfg.AutoPrefetchLimit = false
+		cfg.AutoExpirationThreshold = false
+	case "buffer":
+		cfg.Policy = core.Buffer
+	case "rate":
+		cfg.Policy = core.Rate
+		cfg.AutoPrefetchLimit = false
+	default:
+		return core.TopicConfig{}, fmt.Errorf("unknown policy %q", tp.Policy)
+	}
+	cfg.RankThreshold = tp.Threshold
+	if tp.PrefetchLimit > 0 {
+		cfg.PrefetchLimit = tp.PrefetchLimit
+		cfg.AutoPrefetchLimit = false
+	}
+	if tp.DelaySeconds > 0 {
+		cfg.Delay = time.Duration(tp.DelaySeconds * float64(time.Second))
+	}
+	cfg.InterruptRank = tp.InterruptRank
+	cfg.DailyOnlineCap = tp.DailyOnlineCap
+	cfg.HistoryLimit = tp.HistoryLimit
+	for _, w := range tp.QuietWindows {
+		cfg.Quiet = append(cfg.Quiet, core.QuietWindow{
+			Start: time.Duration(w.StartMinutes) * time.Minute,
+			End:   time.Duration(w.EndMinutes) * time.Minute,
+		})
+	}
+	return cfg, cfg.Validate()
 }
 
 // Conn wraps a net.Conn with frame encoding, write locking, sequence
@@ -493,6 +545,12 @@ func (c *Conn) Close() error {
 		if len(c.ring) > 0 {
 			_ = c.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 			c.flushRingLocked()
+		}
+		// The flusher has stopped, so a frame queued after this point
+		// would sit in the ring forever, holding its pooled buffer. Latch
+		// the close so later sends fail (and release) instead.
+		if c.werr == nil {
+			c.werr = net.ErrClosed
 		}
 		c.wmu.Unlock()
 	})

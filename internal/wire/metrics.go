@@ -24,9 +24,6 @@ type Metrics struct {
 	// ReadBurst is the number of frames decoded out of one read syscall:
 	// the ingest-side batching width.
 	ReadBurst *obs.Histogram
-	// IngressBurst is the number of upstream arrivals applied per proxy
-	// scheduler wakeup.
-	IngressBurst *obs.Histogram
 	// HeartbeatRTT is the round-trip time of client liveness pings.
 	HeartbeatRTT *obs.Histogram
 	// Reconnects counts automatic session re-establishments.
@@ -51,8 +48,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Notifications per push-batch frame.", obs.SizeBuckets()),
 		ReadBurst: reg.Histogram("lasthop_wire_read_burst_frames",
 			"Frames decoded out of one read syscall.", obs.SizeBuckets()),
-		IngressBurst: reg.Histogram("lasthop_wire_ingress_burst",
-			"Upstream arrivals applied per proxy scheduler wakeup.", obs.SizeBuckets()),
 		HeartbeatRTT: reg.Histogram("lasthop_wire_heartbeat_rtt_seconds",
 			"Round-trip time of liveness pings.", obs.LatencyBuckets()),
 		Reconnects: reg.Counter("lasthop_wire_reconnects_total",

@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"errors"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"lasthop/internal/host"
 	"lasthop/internal/pubsub"
+	"lasthop/internal/wire"
 )
 
 // TestServeReturnsNilAfterClose verifies the clean-shutdown contract:
@@ -17,11 +19,11 @@ func TestServeReturnsNilAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := NewBrokerServer(pubsub.NewBroker("b"), t.Logf)
+	bs := wire.NewBrokerServer(pubsub.NewBroker("b"), t.Logf)
 	bsErr := make(chan error, 1)
 	go func() { bsErr <- bs.Serve(bl) }()
 
-	ps, err := NewProxyServer(bl.Addr().String(), "p", t.Logf)
+	ps, err := host.New(host.Options{BrokerAddr: bl.Addr().String(), Name: "p", Workers: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestServeReturnsNilAfterClose(t *testing.T) {
 
 	// A completed handshake proves both servers are inside their accept
 	// loops before we close them.
-	dev, err := DialProxy(pl.Addr().String(), "probe")
+	dev, err := wire.DialProxy(pl.Addr().String(), "probe")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestServeReturnsNilAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs2 := NewBrokerServer(pubsub.NewBroker("b2"), t.Logf)
+	bs2 := wire.NewBrokerServer(pubsub.NewBroker("b2"), t.Logf)
 	bs2Err := make(chan error, 1)
 	go func() { bs2Err <- bs2.Serve(bl2) }()
 	_ = bl2.Close() // external failure, not bs2.Close()
@@ -85,7 +87,7 @@ func TestServeReturnsNilAfterClose(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	h := newHarness(t)
 
-	pub, err := DialBroker(h.brokerAddr, "pub")
+	pub, err := wire.DialBroker(h.brokerAddr, "pub")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Errorf("second broker client close: %v", err)
 	}
 
-	dev, err := DialProxy(h.proxyAddr, "phone")
+	dev, err := wire.DialProxy(h.proxyAddr, "phone")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +109,15 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Errorf("second device close: %v", err)
 	}
 
-	aAddr, _, shutdown := federatedPair(t)
-	defer shutdown()
-	sub, err := DialBroker(aAddr, "sub")
+	fed, err := wire.FederateBroker(h.pubsub, h.brokerAddr, "peer", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Close(); err != nil {
+		t.Errorf("first federation close: %v", err)
+	}
+	_ = fed.Close()
+	sub, err := wire.DialBroker(h.brokerAddr, "sub")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +125,8 @@ func TestCloseIdempotent(t *testing.T) {
 	_ = sub.Close()
 
 	// Server double-close.
-	h.proxy.Close()
-	h.proxy.Close()
+	h.host.Close()
+	h.host.Close()
 	h.broker.Close()
 	h.broker.Close()
 }
@@ -128,17 +136,17 @@ func TestCloseIdempotent(t *testing.T) {
 // instead of parking.
 func TestCallsFailFastWithoutAutoReconnect(t *testing.T) {
 	h := newHarness(t)
-	dev, err := DialProxy(h.proxyAddr, "phone")
+	dev, err := wire.DialProxy(h.proxyAddr, "phone")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "buffer", Max: 4}); err != nil {
+	if err := dev.Subscribe("news", wire.TopicPolicy{Policy: "buffer", Max: 4}); err != nil {
 		t.Fatal(err)
 	}
-	_ = dev.currentConn().Close()
+	wire.DropConn(dev)
 	waitFor(t, "call failure after loss", func() bool {
-		err := dev.Subscribe("other", TopicPolicy{Policy: "buffer", Max: 4})
-		return err != nil && errors.Is(err, ErrConnLost)
+		err := dev.Subscribe("other", wire.TopicPolicy{Policy: "buffer", Max: 4})
+		return err != nil && errors.Is(err, wire.ErrConnLost)
 	})
 }

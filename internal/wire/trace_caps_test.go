@@ -21,83 +21,6 @@ func traceBroker(t *testing.T, h *harness) *trace.Collector {
 	return col
 }
 
-// readTraced issues one READ and reports how many of the transferred
-// notifications carried a trace context alongside the total.
-func (d *rawDevice) readTraced(t *testing.T, topic string, n int) (withCtx, total int) {
-	t.Helper()
-	seq, err := d.conn.SendRequest(&Frame{Type: TypeRead, Read: &msg.ReadRequest{Topic: topic, N: n}})
-	if err != nil {
-		t.Fatalf("read request: %v", err)
-	}
-	for {
-		f, err := d.conn.Recv()
-		if err != nil {
-			t.Fatalf("recv: %v", err)
-		}
-		switch {
-		case f.Re == seq && f.Type == TypeErr:
-			t.Fatalf("read rejected: %s %s", f.Code, f.Message)
-		case f.Re == seq && f.Type == TypeOK:
-			return withCtx, total
-		case f.Type == TypePush:
-			total++
-			if f.Trace != nil {
-				withCtx++
-			}
-		case f.Type == TypePushBatch:
-			total += len(f.Batch)
-			for _, tc := range f.Traces {
-				if tc != nil {
-					withCtx++
-				}
-			}
-		}
-	}
-}
-
-// TestTraceContextReachesCapableDevice: with tracing on at the broker and
-// CapTrace negotiated on every hop, the context minted at publish accept
-// arrives at the device on each transferred notification.
-func TestTraceContextReachesCapableDevice(t *testing.T) {
-	h := newHarness(t)
-	traceBroker(t, h)
-	dev := dialRawDevice(t, h.proxyAddr, LocalCaps())
-	dev.subscribe(t, "news", TopicPolicy{Policy: "on-demand", Max: 64})
-	publishBurst(t, h, "news", 6)
-
-	withCtx, total := dev.readTraced(t, "news", 0)
-	if total != 6 {
-		t.Fatalf("read transferred %d notifications, want 6", total)
-	}
-	if withCtx != 6 {
-		t.Errorf("only %d of %d notifications carried a trace context", withCtx, total)
-	}
-}
-
-// TestLegacyDeviceDropsTraceContext: a device hello without CapTrace must
-// make the proxy strip contexts from its pushes — the notifications still
-// arrive, just untraced.
-func TestLegacyDeviceDropsTraceContext(t *testing.T) {
-	h := newHarness(t)
-	col := traceBroker(t, h)
-	dev := dialRawDevice(t, h.proxyAddr, []string{CapPushBatch})
-	dev.subscribe(t, "news", TopicPolicy{Policy: "on-demand", Max: 64})
-	publishBurst(t, h, "news", 6)
-
-	withCtx, total := dev.readTraced(t, "news", 0)
-	if total != 6 {
-		t.Fatalf("read transferred %d notifications, want 6", total)
-	}
-	if withCtx != 0 {
-		t.Errorf("legacy device received %d trace contexts, want 0", withCtx)
-	}
-	// The contexts were really minted upstream — the drop happened at the
-	// proxy's device hop, not at the sampler.
-	if st := col.Stats(); st.Sampled == 0 {
-		t.Error("broker sampled no traces; the test never exercised the drop path")
-	}
-}
-
 // TestLegacySubscriberDropsTraceContext: the broker lifts a context into
 // the push frame only for subscribers whose hello advertised CapTrace.
 // Two subscribers on one topic — one legacy, one capable — receive the

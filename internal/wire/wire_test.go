@@ -8,20 +8,15 @@ import (
 	"time"
 
 	"lasthop/internal/burst"
-	"lasthop/internal/mobility"
 	"lasthop/internal/msg"
 	"lasthop/internal/pubsub"
 )
 
-// harness spins up a broker server, a proxy server chained to it, and
-// returns their addresses.
+// harness is a broker server for the broker-side tests; the tests that
+// need a proxy run against the host in the external wire_test package.
 type harness struct {
 	broker     *BrokerServer
-	proxy      *ProxyServer
 	brokerAddr string
-	proxyAddr  string
-	stopBroker func()
-	stopProxy  func()
 }
 
 func newHarness(t *testing.T) *harness {
@@ -32,28 +27,8 @@ func newHarness(t *testing.T) *harness {
 	}
 	bs := NewBrokerServer(pubsub.NewBroker("test-broker"), t.Logf)
 	go func() { _ = bs.Serve(bl) }()
-
-	ps, err := NewProxyServer(bl.Addr().String(), "test-proxy", t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = ps.Serve(pl) }()
-
-	h := &harness{
-		broker:     bs,
-		proxy:      ps,
-		brokerAddr: bl.Addr().String(),
-		proxyAddr:  pl.Addr().String(),
-	}
-	t.Cleanup(func() {
-		ps.Close()
-		bs.Close()
-	})
-	return h
+	t.Cleanup(bs.Close)
+	return &harness{broker: bs, brokerAddr: bl.Addr().String()}
 }
 
 func wireNote(id msg.ID, topic string, rank float64) *msg.Notification {
@@ -143,343 +118,6 @@ func TestBrokerErrors(t *testing.T) {
 	}
 	if err := pub.Unsubscribe("nothing"); err == nil {
 		t.Error("unsubscribe without subscription accepted")
-	}
-}
-
-func TestEndToEndReadProtocol(t *testing.T) {
-	h := newHarness(t)
-	pub, err := DialBroker(h.brokerAddr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-
-	dev, err := DialProxy(h.proxyAddr, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "on-demand", Max: 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	for i, rank := range []float64{1, 5, 3, 4, 2} {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("n%d", i)), "news", rank)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wait until the proxy has spooled everything.
-	waitFor(t, "proxy spool", func() bool {
-		snap, ok := h.proxy.Snapshot("news")
-		return ok && snap.Prefetch == 5
-	})
-
-	batch, err := dev.Read("news", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 2 || batch[0].ID != "n1" || batch[1].ID != "n3" {
-		t.Fatalf("read %v, want the two highest-ranked", batch)
-	}
-	// A second read must fetch the next-best, not retransfer read ones.
-	batch, err = dev.Read("news", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 2 || batch[0].ID != "n2" || batch[1].ID != "n4" {
-		t.Fatalf("second read %v", batch)
-	}
-}
-
-func TestDisconnectedDeviceSpools(t *testing.T) {
-	h := newHarness(t)
-	pub, err := DialBroker(h.brokerAddr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-
-	dev, err := DialProxy(h.proxyAddr, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "buffer", Max: 4, PrefetchLimit: 10}); err != nil {
-		t.Fatal(err)
-	}
-	// Go offline: the proxy must treat this as a network outage.
-	_ = dev.Close()
-	waitFor(t, "proxy to notice disconnect", func() bool {
-		snap, ok := h.proxy.Snapshot("news")
-		return ok && snap.QueueSizeView == 0
-	})
-
-	for i := 0; i < 4; i++ {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("n%d", i)), "news", float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "spool while offline", func() bool {
-		snap, ok := h.proxy.Snapshot("news")
-		return ok && snap.Prefetch == 4
-	})
-
-	// Reconnect: prefetching resumes (limit 10 swallows everything).
-	dev2, err := DialProxy(h.proxyAddr, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev2.Close()
-	waitFor(t, "catch-up prefetch", func() bool { return dev2.QueueLen("news") == 4 })
-
-	batch, err := dev2.Read("news", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 4 {
-		t.Fatalf("read %d messages after reconnect, want 4", len(batch))
-	}
-}
-
-func TestRankDropReachesDevice(t *testing.T) {
-	h := newHarness(t)
-	pub, err := DialBroker(h.brokerAddr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-	dev, err := DialProxy(h.proxyAddr, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "buffer", Max: 4, PrefetchLimit: 10, Threshold: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(wireNote("spam", "news", 5)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "prefetch", func() bool { return dev.QueueLen("news") == 1 })
-	if err := pub.PublishRankUpdate(msg.RankUpdate{Topic: "news", ID: "spam", NewRank: 0}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "rank drop applied", func() bool { return dev.QueueLen("news") == 0 })
-	_, _, drops := dev.Stats()
-	if drops != 1 {
-		t.Errorf("drops = %d, want 1", drops)
-	}
-}
-
-func TestDurableProxySurvivesRestart(t *testing.T) {
-	// A journaled proxy that dies with spooled messages serves them
-	// after a restart from the same journal.
-	bl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := NewBrokerServer(pubsub.NewBroker("broker"), t.Logf)
-	go func() { _ = bs.Serve(bl) }()
-	defer bs.Close()
-	journalPath := t.TempDir() + "/proxy.journal"
-
-	startProxy := func() (*ProxyServer, string) {
-		t.Helper()
-		ps, err := NewProxyServerOpts(ProxyOptions{
-			BrokerAddr:  bl.Addr().String(),
-			Name:        "durable-proxy",
-			JournalPath: journalPath,
-			Logf:        t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = ps.Serve(pl) }()
-		return ps, pl.Addr().String()
-	}
-
-	pub, err := DialBroker(bl.Addr().String(), "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-
-	// First life: subscribe, spool two messages while no device is
-	// connected, then die.
-	ps1, addr1 := startProxy()
-	dev, err := DialProxy(addr1, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "buffer", Max: 4, PrefetchLimit: 10}); err != nil {
-		t.Fatal(err)
-	}
-	_ = dev.Close()
-	waitFor(t, "device disconnect", func() bool {
-		snap, ok := ps1.Snapshot("news")
-		return ok && snap.QueueSizeView == 0
-	})
-	for i := 0; i < 2; i++ {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("s%d", i)), "news", float64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "spool", func() bool {
-		snap, ok := ps1.Snapshot("news")
-		return ok && snap.Prefetch == 2
-	})
-	ps1.Close() // crash
-
-	// Second life: the journal restores the topic and the spool, and the
-	// upstream subscription is re-established.
-	ps2, addr2 := startProxy()
-	defer ps2.Close()
-	snap, ok := ps2.Snapshot("news")
-	if !ok {
-		t.Fatal("restarted proxy lost the topic")
-	}
-	if snap.Prefetch != 2 {
-		t.Fatalf("restarted proxy spool = %+v, want 2 prefetchable", snap)
-	}
-	dev2, err := DialProxy(addr2, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev2.Close()
-	waitFor(t, "post-restart catch-up", func() bool { return dev2.QueueLen("news") == 2 })
-
-	// New traffic still flows (the upstream resubscription worked).
-	if err := pub.Publish(wireNote("s2", "news", 5)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "fresh push after restart", func() bool { return dev2.QueueLen("news") == 3 })
-}
-
-func TestDeviceRedialKeepsCacheAndSubscriptions(t *testing.T) {
-	h := newHarness(t)
-	pub, err := DialBroker(h.brokerAddr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-	dev, err := DialProxy(h.proxyAddr, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "buffer", Max: 4, PrefetchLimit: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(wireNote("cached", "news", 3)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "prefetch before drop", func() bool { return dev.QueueLen("news") == 1 })
-
-	// The radio drops: the device keeps its cache and redials (a new
-	// accepted connection replaces the stale one on the proxy side).
-	_ = dev.conn.Close()
-	if err := dev.Redial(h.proxyAddr); err != nil {
-		t.Fatal(err)
-	}
-	if dev.QueueLen("news") != 1 {
-		t.Fatalf("redial lost the cache: %d", dev.QueueLen("news"))
-	}
-	// The automatic resubscription restores push delivery.
-	if err := pub.Publish(wireNote("fresh", "news", 4)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "push after redial", func() bool { return dev.QueueLen("news") == 2 })
-
-	batch, err := dev.Read("news", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 2 {
-		t.Fatalf("read %d after redial, want 2", len(batch))
-	}
-}
-
-func TestProxyRejectsUnknownPolicy(t *testing.T) {
-	h := newHarness(t)
-	dev, err := DialProxy(h.proxyAddr, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	if err := dev.Subscribe("news", TopicPolicy{Policy: "telepathy"}); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if err := dev.Subscribe("news", TopicPolicy{Mode: "sideways"}); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if err := dev.Unsubscribe("never-subscribed"); err == nil {
-		t.Error("unsubscribe of unknown topic accepted")
-	}
-}
-
-func TestDeviceMobilityDrivesWireSubscriptions(t *testing.T) {
-	h := newHarness(t)
-	pub, err := DialBroker(h.brokerAddr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	for _, city := range []string{"oslo", "tromso"} {
-		if err := pub.Advertise("traffic/"+city, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dev, err := DialProxy(h.proxyAddr, "phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-
-	tracker := mobility.NewTracker(NewDeviceMobility(dev), "phone")
-	rule := mobility.Rule{
-		Name:          "traffic",
-		TopicTemplate: "traffic/${city}",
-		Options:       msg.SubscriptionOptions{Max: 4, Mode: msg.OnLine},
-	}
-	if err := tracker.AddRule(rule); err != nil {
-		t.Fatal(err)
-	}
-	if err := tracker.UpdateContext(mobility.Context{"city": "oslo"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(wireNote("o1", "traffic/oslo", 3)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "oslo alert", func() bool { return dev.QueueLen("traffic/oslo") == 1 })
-
-	// Moving re-subscribes over the wire.
-	if err := tracker.UpdateContext(mobility.Context{"city": "tromso"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(wireNote("t1", "traffic/tromso", 3)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "tromso alert", func() bool { return dev.QueueLen("traffic/tromso") == 1 })
-	// The old city's topic is gone from the proxy.
-	if _, ok := h.proxy.Snapshot("traffic/oslo"); ok {
-		t.Error("old city still registered on the proxy")
 	}
 }
 

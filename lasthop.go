@@ -18,7 +18,8 @@
 //   - virtual/wall-clock scheduling (VirtualClock, WallClock),
 //   - the discrete-event simulator (SimConfig, Scenario, Compare),
 //   - the experiment harness regenerating the paper's figures, and
-//   - the TCP wire deployment (BrokerServer, ProxyServer, DeviceClient).
+//   - the TCP wire deployment (BrokerServer, DeviceClient; the proxy host
+//     that serves devices lives in internal/host and cmd/lasthop-proxy).
 //
 // See examples/quickstart for an end-to-end tour.
 package lasthop
@@ -30,7 +31,6 @@ import (
 	"lasthop/internal/device"
 	"lasthop/internal/dist"
 	"lasthop/internal/experiment"
-	"lasthop/internal/journal"
 	"lasthop/internal/link"
 	"lasthop/internal/metrics"
 	"lasthop/internal/mobility"
@@ -250,21 +250,6 @@ func NewDeviceGroup(members ...DeviceGroupMember) (*DeviceGroup, error) {
 	return multidev.NewGroup(members...)
 }
 
-// Durability (internal/journal): write-ahead journaling and recovery.
-type (
-	// ProxyJournal is the append-only input journal of a durable proxy.
-	ProxyJournal = journal.Journal
-	// JournaledProxy wraps a proxy with write-ahead journaling.
-	JournaledProxy = journal.Recorder
-)
-
-// Journal entry points.
-var (
-	OpenJournal    = journal.Open
-	RecoverProxy   = journal.Recover
-	CompactJournal = journal.Compact
-)
-
 // Replicated proxy (internal/replica, paper §4 future work).
 type (
 	// ReplicatedProxy runs the proxy as a replicated deterministic state
@@ -299,8 +284,6 @@ type (
 	BrokerServer = wire.BrokerServer
 	// BrokerClient is the publisher/proxy-side broker connection.
 	BrokerClient = wire.BrokerClient
-	// ProxyServer runs the proxy as a network service.
-	ProxyServer = wire.ProxyServer
 	// DeviceClient is the device side of the proxy protocol.
 	DeviceClient = wire.DeviceClient
 	// TopicPolicy is the device-selected policy for a wire topic.
@@ -310,7 +293,6 @@ type (
 // Wire constructors.
 var (
 	NewBrokerServer = wire.NewBrokerServer
-	NewProxyServer  = wire.NewProxyServer
 	DialBroker      = wire.DialBroker
 	DialProxy       = wire.DialProxy
 	// FederateBroker attaches a remote broker as an overlay peer of a

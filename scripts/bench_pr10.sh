@@ -18,9 +18,11 @@
 #     clone + one encoded frame per subscriber), or
 #   - the shared broker fan-out's allocs/op are not flat across widths
 #     (width-1024 may exceed width-8 by at most 2 allocs), or
-#   - ProxyForwardPath allocs/op exceed 8 or HostForwardPath exceed 10, or
-#   - either forward path allocates more per op than the committed
-#     BENCH_PR7.json (alloc regression against the prior PR), or
+#   - HostForwardPath allocs/op exceed 8 at one session or 10 at eight,
+#     or
+#   - either case allocates more per op than the committed BENCH_PR7.json
+#     (one session against its ProxyForwardPath, the single-device path
+#     before the host served it), or
 #   - the pool leak gates fail, or
 #   - the burst loadgen run loses or duplicates any delivery, or its
 #     note-pool hit rate lands below 0.90, or any pool object is still
@@ -95,9 +97,7 @@ go test ./internal/wire/ -run '^$' -bench '^BenchmarkWireFanout$' \
 echo ">> host broadcast (64 devices, copy-on-write dispatch split)" >&2
 go test ./internal/host/ -run '^$' -bench '^BenchmarkHostBroadcast$' \
   -benchmem -cpu "$CPU" -benchtime "$HOST_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
-echo ">> forward paths (standing PR 7 alloc budgets)" >&2
-go test ./internal/wire/ -run '^$' -bench '^BenchmarkProxyForwardPath$' \
-  -benchmem -cpu "$CPU" -benchtime "$FWD_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
+echo ">> forward path, 1 and 8 sessions (standing PR 7 alloc budgets)" >&2
 go test ./internal/host/ -run '^$' -bench '^BenchmarkHostForwardPath$' \
   -benchmem -cpu "$CPU" -benchtime "$FWD_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
 
@@ -113,7 +113,7 @@ fi
 echo ">> burst loadgen: $LOADGEN_DEVICES sessions, fan-out $((LOADGEN_DEVICES / LOADGEN_TOPICS)), windowed batch publishers" >&2
 best_rate=0
 for attempt in $(seq 1 "$LOADGEN_ATTEMPTS"); do
-  go run ./cmd/lasthop-loadgen -multi-tenant \
+  go run ./cmd/lasthop-loadgen \
     -devices "$LOADGEN_DEVICES" -topics "$LOADGEN_TOPICS" -n "$LOADGEN_N" \
     -publishers "$LOADGEN_PUBLISHERS" -publish-batch "$LOADGEN_BATCH" \
     -history-limit "$LOADGEN_HISTORY" \
@@ -235,18 +235,20 @@ if [[ -z "$broker_allocs_8" || -z "$broker_allocs_1024" ]] || \
   exit 1
 fi
 
-proxy_allocs="$(field "$tmp/measured.json" ProxyForwardPath allocs_per_op)"
-host_allocs="$(field "$tmp/measured.json" HostForwardPath allocs_per_op)"
-proxy_ns="$(field "$tmp/measured.json" ProxyForwardPath ns_per_op)"
-host_ns="$(field "$tmp/measured.json" HostForwardPath ns_per_op)"
+# The one-session host carries the single-device gates that the retired
+# per-device proxy server used to; the eight-session case keeps the host's.
+proxy_allocs="$(field "$tmp/measured.json" 'HostForwardPath_sessions=1' allocs_per_op)"
+host_allocs="$(field "$tmp/measured.json" 'HostForwardPath_sessions=8' allocs_per_op)"
+proxy_ns="$(field "$tmp/measured.json" 'HostForwardPath_sessions=1' ns_per_op)"
+host_ns="$(field "$tmp/measured.json" 'HostForwardPath_sessions=8' ns_per_op)"
 
 # Gates. allocs/op is machine-independent, so it is the CI tripwire.
 if [[ -z "$proxy_allocs" || "$proxy_allocs" -gt "$PROXY_ALLOC_BUDGET" ]]; then
-  echo "FAIL: ProxyForwardPath allocs/op = ${proxy_allocs:-unparsed}, budget $PROXY_ALLOC_BUDGET" >&2
+  echo "FAIL: HostForwardPath/sessions=1 allocs/op = ${proxy_allocs:-unparsed}, budget $PROXY_ALLOC_BUDGET" >&2
   exit 1
 fi
 if [[ -z "$host_allocs" || "$host_allocs" -gt "$HOST_ALLOC_BUDGET" ]]; then
-  echo "FAIL: HostForwardPath allocs/op = ${host_allocs:-unparsed}, budget $HOST_ALLOC_BUDGET" >&2
+  echo "FAIL: HostForwardPath/sessions=8 allocs/op = ${host_allocs:-unparsed}, budget $HOST_ALLOC_BUDGET" >&2
   exit 1
 fi
 
@@ -260,11 +262,11 @@ if [[ -f "$BASELINE" ]]; then
   pr7_proxy_ns="$(field "$BASELINE" ProxyForwardPath ns_per_op)"
   pr7_host_ns="$(field "$BASELINE" HostForwardPath ns_per_op)"
   if [[ -n "$pr7_proxy_allocs" && "$proxy_allocs" -gt "$pr7_proxy_allocs" ]]; then
-    echo "FAIL: ProxyForwardPath allocs/op = $proxy_allocs regressed past $BASELINE ($pr7_proxy_allocs)" >&2
+    echo "FAIL: HostForwardPath/sessions=1 allocs/op = $proxy_allocs regressed past $BASELINE ProxyForwardPath ($pr7_proxy_allocs)" >&2
     exit 1
   fi
   if [[ -n "$pr7_host_allocs" && "$host_allocs" -gt "$pr7_host_allocs" ]]; then
-    echo "FAIL: HostForwardPath allocs/op = $host_allocs regressed past $BASELINE ($pr7_host_allocs)" >&2
+    echo "FAIL: HostForwardPath/sessions=8 allocs/op = $host_allocs regressed past $BASELINE ($pr7_host_allocs)" >&2
     exit 1
   fi
 else
@@ -310,10 +312,10 @@ fi
   printf '  },\n'
   printf '  "broker_alloc_flatness": {"shared_width_8": %s, "shared_width_1024": %s},\n' "$broker_allocs_8" "$broker_allocs_1024"
   printf '  "alloc_budget": {\n'
-  printf '    "ProxyForwardPath_allocs_per_op": %s, "proxy_measured": %s,\n' "$PROXY_ALLOC_BUDGET" "$proxy_allocs"
-  printf '    "HostForwardPath_allocs_per_op": %s, "host_measured": %s\n' "$HOST_ALLOC_BUDGET" "$host_allocs"
+  printf '    "HostForwardPath_sessions=1_allocs_per_op": %s, "one_session_measured": %s,\n' "$PROXY_ALLOC_BUDGET" "$proxy_allocs"
+  printf '    "HostForwardPath_sessions=8_allocs_per_op": %s, "eight_sessions_measured": %s\n' "$HOST_ALLOC_BUDGET" "$host_allocs"
   printf '  },\n'
-  printf '  "speedup_vs_pr7": {"ProxyForwardPath": %s, "HostForwardPath": %s},\n' "${proxy_speedup:-0}" "${host_speedup:-0}"
+  printf '  "speedup_vs_pr7": {"HostForwardPath_sessions=1_vs_ProxyForwardPath": %s, "HostForwardPath_sessions=8": %s},\n' "${proxy_speedup:-0}" "${host_speedup:-0}"
   printf '  "pool_leak_gate": "%s",\n' "$leak_gate"
   printf '  "flash_crowd_gate": "%s",\n' "$flash_verdict"
   printf '  "measured": %s,\n' "$(cat "$tmp/measured.json")"
@@ -321,4 +323,4 @@ fi
   printf '}\n'
 } > "$OUT"
 
-echo "wrote $OUT (width-1024 shared fan-out ${shared_ratio}x, ProxyForwardPath $proxy_allocs allocs/op, HostForwardPath $host_allocs allocs/op, burst rate ${rate%%.*}/s, pool hit $(sed -n 's/.*"poolHitRate": \([0-9.e+-]*\).*/\1/p' "$tmp/loadgen.json"))" >&2
+echo "wrote $OUT (width-1024 shared fan-out ${shared_ratio}x, HostForwardPath/sessions=1 $proxy_allocs allocs/op, HostForwardPath/sessions=8 $host_allocs allocs/op, burst rate ${rate%%.*}/s, pool hit $(sed -n 's/.*"poolHitRate": \([0-9.e+-]*\).*/\1/p' "$tmp/loadgen.json"))" >&2

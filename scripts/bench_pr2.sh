@@ -3,7 +3,9 @@
 #
 # The three benchmarks cover the layers the PR rebuilt: broker publish
 # fan-out (internal/pubsub), the framed push write path (internal/wire),
-# and the full broker→proxy→device forward path. A loadgen smoke run
+# and the full broker→proxy→device forward path, measured as the
+# one-session case of BenchmarkHostForwardPath (internal/host; the
+# single-device deployment is a one-session host). A loadgen smoke run
 # captures end-to-end delivery rates through real TCP connections.
 #
 # The "baseline" block embedded below is the same three benchmarks run
@@ -40,8 +42,10 @@ trap 'rm -rf "$tmp"' EXIT
 echo ">> broker fan-out" >&2
 go test ./internal/pubsub/ -run '^$' -bench '^BenchmarkBrokerFanout$' \
   -benchmem -cpu "$CPU" -benchtime "$FANOUT_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
-echo ">> wire push + proxy forward path" >&2
-go test ./internal/wire/ -run '^$' -bench 'BenchmarkWireThroughput|BenchmarkProxyForwardPath' \
+echo ">> wire push + one-session forward path" >&2
+go test ./internal/wire/ -run '^$' -bench '^BenchmarkWireThroughput$' \
+  -benchmem -cpu "$CPU" -benchtime "$WIRE_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
+go test ./internal/host/ -run '^$' -bench '^BenchmarkHostForwardPath$/^sessions=1$' \
   -benchmem -cpu "$CPU" -benchtime "$WIRE_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
 echo ">> loadgen smoke" >&2
 go run ./cmd/lasthop-loadgen -publishers 4 -devices 4 -n "$LOADGEN_N" -payload 128 -q \
@@ -51,6 +55,7 @@ go run ./cmd/lasthop-loadgen -publishers 4 -devices 4 -n "$LOADGEN_N" -payload 1
 awk '
   /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
+    gsub(/\//, "_", name)
     ns[name] = ns[name] " " $3
     bytes[name] = $5; allocs[name] = $7; n[name]++
   }

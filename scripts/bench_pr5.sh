@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
-# Measures the PR 5 multi-tenant host benchmarks and records them to
+# Measures the PR 5 proxy host benchmarks and records them to
 # BENCH_PR5.json.
 #
 # Three layers: the hierarchical timing wheel against time.AfterFunc at
 # 100k outstanding timers (internal/simtime), the end-to-end forward path
-# through both proxy tiers — the single-tenant wire.ProxyServer and the
-# multi-tenant host.Host (internal/wire, internal/host) — and a
-# multi-tenant loadgen run driving 1,000 concurrent device sessions
-# through one host over real TCP, which must complete with zero lost and
-# zero duplicate deliveries.
+# through the proxy host at one session (the single-device deployment)
+# and at eight (internal/host), and a loadgen run driving 1,000
+# concurrent device sessions through one host over real TCP, which must
+# complete with zero lost and zero duplicate deliveries.
 #
 # The script fails (for CI) if:
-#   - ProxyForwardPath allocs/op regress above the PR 5 budget of 25
-#     (PR 2 baseline was 53 before the hand-rolled frame decoder), or
+#   - one-session HostForwardPath allocs/op regress above the PR 5 budget
+#     of 25 (PR 2 baseline was 53 before the hand-rolled frame decoder),
+#     or
 #   - the loadgen run loses or duplicates any delivery.
 #
 # Environment knobs:
@@ -47,13 +47,11 @@ trap 'rm -rf "$tmp"' EXIT
 echo ">> timing wheel vs time.AfterFunc (100k outstanding timers)" >&2
 go test ./internal/simtime/ -run '^$' -bench BenchmarkTimerWheel \
   -benchmem -benchtime "$WHEEL_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
-echo ">> forward path through both proxy tiers" >&2
-go test ./internal/wire/ -run '^$' -bench BenchmarkProxyForwardPath \
-  -benchmem -cpu "$CPU" -benchtime "$FWD_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
+echo ">> forward path through the proxy host (1 and 8 sessions)" >&2
 go test ./internal/host/ -run '^$' -bench BenchmarkHostForwardPath \
   -benchmem -cpu "$CPU" -benchtime "$FWD_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
-echo ">> multi-tenant loadgen: $LOADGEN_DEVICES sessions, one host" >&2
-go run ./cmd/lasthop-loadgen -multi-tenant \
+echo ">> loadgen: $LOADGEN_DEVICES sessions, one host" >&2
+go run ./cmd/lasthop-loadgen \
   -devices "$LOADGEN_DEVICES" -topics "$LOADGEN_TOPICS" -n "$LOADGEN_N" \
   -publishers 4 -payload 128 -q -out "$tmp/loadgen.json" >&2
 
@@ -90,9 +88,9 @@ awk '
 # Gates. allocs/op is machine-independent, so it is the CI tripwire; the
 # wheel-vs-AfterFunc ratio is reported (it only means something with real
 # -benchtime on a quiet machine, not a 1x smoke run).
-fwd_allocs="$(sed -n 's/.*"ProxyForwardPath":{[^}]*"allocs_per_op":\([0-9]*\).*/\1/p' "$tmp/measured.json")"
+fwd_allocs="$(sed -n 's/.*"HostForwardPath_sessions=1":{[^}]*"allocs_per_op":\([0-9]*\).*/\1/p' "$tmp/measured.json")"
 if [[ -z "$fwd_allocs" || "$fwd_allocs" -gt "$ALLOC_BUDGET" ]]; then
-  echo "FAIL: ProxyForwardPath allocs/op = ${fwd_allocs:-unparsed}, budget $ALLOC_BUDGET" >&2
+  echo "FAIL: HostForwardPath/sessions=1 allocs/op = ${fwd_allocs:-unparsed}, budget $ALLOC_BUDGET" >&2
   exit 1
 fi
 wheel_ns="$(sed -n 's/.*"TimerWheel_Wheel":{"ns_per_op":\([0-9.e+]*\).*/\1/p' "$tmp/measured.json")"
@@ -104,13 +102,13 @@ expect="$(awk -v n="$LOADGEN_N" -v d="$LOADGEN_DEVICES" -v t="$LOADGEN_TOPICS" \
 delivered="$(sed -n 's/.*"delivered": \([0-9]*\).*/\1/p' "$tmp/loadgen.json")"
 duplicates="$(sed -n 's/.*"duplicates": \([0-9]*\).*/\1/p' "$tmp/loadgen.json")"
 if [[ "$delivered" != "$expect" || "$duplicates" != "0" ]]; then
-  echo "FAIL: multi-tenant loadgen delivered=$delivered (want $expect) duplicates=$duplicates (want 0)" >&2
+  echo "FAIL: loadgen delivered=$delivered (want $expect) duplicates=$duplicates (want 0)" >&2
   exit 1
 fi
 
 {
   printf '{\n'
-  printf '  "benchmark": "PR 5 multi-tenant proxy host",\n'
+  printf '  "benchmark": "PR 5 proxy host",\n'
   printf '  "environment": {\n'
   printf '    "go": "%s",\n' "$(go version | awk '{print $3}')"
   printf '    "os": "%s",\n' "$(uname -s)"
@@ -119,14 +117,14 @@ fi
   printf '    "note": "TimerWheel arms and cancels 100k outstanding timers per scheduler; the >=5x wheel-vs-AfterFunc target applies to real -benchtime runs, not BENCH_SMOKE. ForwardPath benchmarks are one end-to-end delivery over real TCP."\n'
   printf '  },\n'
   printf '  "baseline": {\n'
-  printf '    "description": "PR 2 tree (encoding/json frame decode, one wire.ProxyServer per device), measured back-to-back with this tree on the same 1-physical-core container",\n'
+  printf '    "description": "PR 2 tree (encoding/json frame decode, a single-device proxy server per device), measured back-to-back with the PR 5 tree on the same 1-physical-core container",\n'
   printf '    "ProxyForwardPath": {"ns_per_op": 53521, "bytes_per_op": 4630, "allocs_per_op": 53}\n'
   printf '  },\n'
-  printf '  "alloc_budget": {"ProxyForwardPath_allocs_per_op": %s, "measured": %s},\n' "$ALLOC_BUDGET" "$fwd_allocs"
+  printf '  "alloc_budget": {"HostForwardPath_sessions=1_allocs_per_op": %s, "measured": %s},\n' "$ALLOC_BUDGET" "$fwd_allocs"
   printf '  "wheel_vs_afterfunc_speedup": %s,\n' "${ratio:-0}"
   printf '  "measured": %s,\n' "$(cat "$tmp/measured.json")"
-  printf '  "loadgen_multi_tenant": %s\n' "$(cat "$tmp/loadgen.json")"
+  printf '  "loadgen_host": %s\n' "$(cat "$tmp/loadgen.json")"
   printf '}\n'
 } > "$OUT"
 
-echo "wrote $OUT (ProxyForwardPath $fwd_allocs allocs/op, wheel ${ratio}x AfterFunc)" >&2
+echo "wrote $OUT (HostForwardPath/sessions=1 $fwd_allocs allocs/op, wheel ${ratio}x AfterFunc)" >&2

@@ -2,22 +2,22 @@
 # Measures the PR 7 burst-datapath benchmarks and records them to
 # BENCH_PR7.json.
 #
-# Three layers: the end-to-end forward path through both proxy tiers —
-# the single-tenant wire.ProxyServer and the multi-tenant host.Host
-# (internal/wire, internal/host), both now riding pooled frames,
-# per-connection egress rings with vectored flushes, and batch-aware
-# decode — the pool leak gates (every wire/host/loadgen test package
+# Three layers: the end-to-end forward path through the proxy host at one
+# session (the single-device deployment) and at eight (internal/host),
+# riding pooled frames, per-connection egress rings with vectored
+# flushes, and batch-aware decode — the pool leak gates (every wire/host/loadgen test package
 # asserts zero net outstanding pool objects in TestMain), and a
 # burst-profile loadgen run: 80 device sessions fanning out 8 deliveries
 # per publish through one host over real TCP, which must complete with
 # zero lost and zero duplicate deliveries.
 #
 # The script fails (for CI) if:
-#   - ProxyForwardPath allocs/op exceed the PR 7 budget of 8
+#   - one-session HostForwardPath allocs/op exceed the PR 7 budget of 8
 #     (PR 5 shipped at 23; the pooled datapath runs at 5-6), or
-#   - HostForwardPath allocs/op exceed 10, or
-#   - either forward path allocates more per op than the committed
-#     BENCH_PR5.json baseline (alloc regression against the prior PR), or
+#   - eight-session HostForwardPath allocs/op exceed 10, or
+#   - either case allocates more per op than the committed
+#     BENCH_PR5.json baseline (one session against its ProxyForwardPath,
+#     the single-device path before the host served it), or
 #   - the pool leak gates fail, or
 #   - the burst loadgen run loses or duplicates any delivery, or
 #   - (full runs only) burst delivery throughput drops below
@@ -65,9 +65,7 @@ echo ">> pool leak gates (wire/host/loadgen TestMain asserts zero net outstandin
 go test -count=1 ./internal/burst/ ./internal/wire/ ./internal/host/ ./internal/loadgen/ >&2
 leak_gate="pass"
 
-echo ">> forward path through both proxy tiers (pooled frames, vectored flushes)" >&2
-go test ./internal/wire/ -run '^$' -bench BenchmarkProxyForwardPath \
-  -benchmem -cpu "$CPU" -benchtime "$FWD_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
+echo ">> forward path through the proxy host, 1 and 8 sessions (pooled frames, vectored flushes)" >&2
 go test ./internal/host/ -run '^$' -bench BenchmarkHostForwardPath \
   -benchmem -cpu "$CPU" -benchtime "$FWD_TIME" -count "$COUNT" | tee -a "$tmp/bench.txt" >&2
 
@@ -82,7 +80,7 @@ fi
 echo ">> burst loadgen: $LOADGEN_DEVICES sessions, fan-out $((LOADGEN_DEVICES / LOADGEN_TOPICS)), batched publishers" >&2
 best_rate=0
 for attempt in $(seq 1 "$LOADGEN_ATTEMPTS"); do
-  go run ./cmd/lasthop-loadgen -multi-tenant \
+  go run ./cmd/lasthop-loadgen \
     -devices "$LOADGEN_DEVICES" -topics "$LOADGEN_TOPICS" -n "$LOADGEN_N" \
     -publishers "$LOADGEN_PUBLISHERS" -publish-batch "$LOADGEN_BATCH" \
     -payload 128 -q -out "$tmp/loadgen-$attempt.json" >&2
@@ -138,18 +136,20 @@ field() { # field <json-file> <benchmark> <field>
   sed -n 's/.*"'"$2"'":{[^}]*"'"$3"'":\([0-9.e+]*\).*/\1/p' "$1"
 }
 
-proxy_allocs="$(field "$tmp/measured.json" ProxyForwardPath allocs_per_op)"
-host_allocs="$(field "$tmp/measured.json" HostForwardPath allocs_per_op)"
-proxy_ns="$(field "$tmp/measured.json" ProxyForwardPath ns_per_op)"
-host_ns="$(field "$tmp/measured.json" HostForwardPath ns_per_op)"
+# The one-session host carries the single-device gates that the retired
+# per-device proxy server used to; the eight-session case keeps the host's.
+proxy_allocs="$(field "$tmp/measured.json" 'HostForwardPath_sessions=1' allocs_per_op)"
+host_allocs="$(field "$tmp/measured.json" 'HostForwardPath_sessions=8' allocs_per_op)"
+proxy_ns="$(field "$tmp/measured.json" 'HostForwardPath_sessions=1' ns_per_op)"
+host_ns="$(field "$tmp/measured.json" 'HostForwardPath_sessions=8' ns_per_op)"
 
 # Gates. allocs/op is machine-independent, so it is the CI tripwire.
 if [[ -z "$proxy_allocs" || "$proxy_allocs" -gt "$PROXY_ALLOC_BUDGET" ]]; then
-  echo "FAIL: ProxyForwardPath allocs/op = ${proxy_allocs:-unparsed}, budget $PROXY_ALLOC_BUDGET" >&2
+  echo "FAIL: HostForwardPath/sessions=1 allocs/op = ${proxy_allocs:-unparsed}, budget $PROXY_ALLOC_BUDGET" >&2
   exit 1
 fi
 if [[ -z "$host_allocs" || "$host_allocs" -gt "$HOST_ALLOC_BUDGET" ]]; then
-  echo "FAIL: HostForwardPath allocs/op = ${host_allocs:-unparsed}, budget $HOST_ALLOC_BUDGET" >&2
+  echo "FAIL: HostForwardPath/sessions=8 allocs/op = ${host_allocs:-unparsed}, budget $HOST_ALLOC_BUDGET" >&2
   exit 1
 fi
 
@@ -163,11 +163,11 @@ if [[ -f "$BASELINE" ]]; then
   pr5_proxy_ns="$(field "$BASELINE" ProxyForwardPath ns_per_op)"
   pr5_host_ns="$(field "$BASELINE" HostForwardPath ns_per_op)"
   if [[ -n "$pr5_proxy_allocs" && "$proxy_allocs" -gt "$pr5_proxy_allocs" ]]; then
-    echo "FAIL: ProxyForwardPath allocs/op = $proxy_allocs regressed past $BASELINE ($pr5_proxy_allocs)" >&2
+    echo "FAIL: HostForwardPath/sessions=1 allocs/op = $proxy_allocs regressed past $BASELINE ProxyForwardPath ($pr5_proxy_allocs)" >&2
     exit 1
   fi
   if [[ -n "$pr5_host_allocs" && "$host_allocs" -gt "$pr5_host_allocs" ]]; then
-    echo "FAIL: HostForwardPath allocs/op = $host_allocs regressed past $BASELINE ($pr5_host_allocs)" >&2
+    echo "FAIL: HostForwardPath/sessions=8 allocs/op = $host_allocs regressed past $BASELINE ($pr5_host_allocs)" >&2
     exit 1
   fi
 else
@@ -209,14 +209,14 @@ fi
   printf '    "HostForwardPath": {"ns_per_op": %s, "allocs_per_op": %s}\n' "${pr5_host_ns:-0}" "${pr5_host_allocs:-0}"
   printf '  },\n'
   printf '  "alloc_budget": {\n'
-  printf '    "ProxyForwardPath_allocs_per_op": %s, "proxy_measured": %s,\n' "$PROXY_ALLOC_BUDGET" "$proxy_allocs"
-  printf '    "HostForwardPath_allocs_per_op": %s, "host_measured": %s\n' "$HOST_ALLOC_BUDGET" "$host_allocs"
+  printf '    "HostForwardPath_sessions=1_allocs_per_op": %s, "one_session_measured": %s,\n' "$PROXY_ALLOC_BUDGET" "$proxy_allocs"
+  printf '    "HostForwardPath_sessions=8_allocs_per_op": %s, "eight_sessions_measured": %s\n' "$HOST_ALLOC_BUDGET" "$host_allocs"
   printf '  },\n'
-  printf '  "speedup_vs_pr5": {"ProxyForwardPath": %s, "HostForwardPath": %s},\n' "${proxy_speedup:-0}" "${host_speedup:-0}"
+  printf '  "speedup_vs_pr5": {"HostForwardPath_sessions=1_vs_ProxyForwardPath": %s, "HostForwardPath_sessions=8": %s},\n' "${proxy_speedup:-0}" "${host_speedup:-0}"
   printf '  "pool_leak_gate": "%s",\n' "$leak_gate"
   printf '  "measured": %s,\n' "$(cat "$tmp/measured.json")"
   printf '  "loadgen_burst": %s\n' "$(cat "$tmp/loadgen.json")"
   printf '}\n'
 } > "$OUT"
 
-echo "wrote $OUT (ProxyForwardPath $proxy_allocs allocs/op ${proxy_speedup}x PR5, HostForwardPath $host_allocs allocs/op ${host_speedup}x PR5, burst rate ${rate%%.*}/s)" >&2
+echo "wrote $OUT (HostForwardPath/sessions=1 $proxy_allocs allocs/op ${proxy_speedup}x PR5, HostForwardPath/sessions=8 $host_allocs allocs/op ${host_speedup}x PR5, burst rate ${rate%%.*}/s)" >&2

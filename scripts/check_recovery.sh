@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Kill/restart zero-loss gate: run the loadgen chaos drill — every
-# session subscribes and hibernates onto the spool, half the load is
-# published, the host is killed abruptly and restarted on the same
-# spool, the rest is published, and the devices drain everything back.
-# The gate: every session recovered, zero notifications lost across the
-# kill, duplicates bounded, and no trace-attributed "lost" outcome.
+# session subscribes and hibernates onto the spool, a third of the load
+# is published, and the host is killed abruptly and restarted on the same
+# spool; then some sessions reconnect and keep reading (resident), the
+# next third is published, and the host is killed again while those
+# sessions are resident and mid-forward; the rest is published and the
+# devices drain everything back. The gate: every session recovered, zero
+# notifications lost across the kills, duplicates bounded, and no
+# trace-attributed "lost" outcome.
 # Finally the spool itself is checksum-verified with lasthop-journal.
 #
 # Scale with RECOVERY_DEVICES / RECOVERY_TOPICS / RECOVERY_N; keep the
