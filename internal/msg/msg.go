@@ -90,8 +90,8 @@ type Notification struct {
 	Payload []byte `json:"payload,omitempty"`
 	// Trace is the optional distributed-tracing context attached to
 	// sampled notifications. It is deliberately excluded from the
-	// notification's own JSON form (journals and legacy peers never see
-	// it); the wire layer moves it between nodes as an explicit,
+	// notification's own JSON form (spool records and legacy peers never
+	// see it); the wire layer moves it between nodes as an explicit,
 	// capability-gated frame field. The pointer may be shared between
 	// fan-out clones — treat the pointed-to context as immutable and use
 	// TraceContext.WithHop to extend it.

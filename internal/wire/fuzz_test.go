@@ -1,8 +1,7 @@
 package wire
 
-// Fuzz targets for the two decoders that face untrusted bytes: wire frames
-// and journal lines are both JSON, but the servers must never panic on
-// garbage.
+// Fuzz targets for the frame decoders that face untrusted bytes: the
+// servers must never panic on garbage.
 
 import (
 	"encoding/json"
