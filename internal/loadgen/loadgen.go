@@ -6,8 +6,8 @@
 // tier is one host.Host carrying every device session — each still its
 // own Figure 7 proxy, the paper's one-proxy-per-user model — over sharded
 // workers and one multiplexed broker connection. It is the measurement
-// harness behind cmd/lasthop-loadgen and the BENCH_PR2/BENCH_PR5
-// trajectories.
+// harness behind cmd/lasthop-loadgen and the loadgen rows of
+// cmd/lasthop-benchgate.
 package loadgen
 
 import (

@@ -304,7 +304,7 @@ func TestRunBoundedHistory(t *testing.T) {
 	}
 	// With eviction recycling mid-run, the pool must serve at least SOME
 	// gets from the free list (the exact rate is volume- and GC-dependent;
-	// bench_pr10.sh gates the >=0.9 steady-state floor at full volume).
+	// lasthop-benchgate gates the >=0.9 steady-state floor at burst volume).
 	if rep.PoolHitRate <= 0 || rep.PoolHitRate > 1 {
 		t.Fatalf("pool hit rate %v outside (0, 1]", rep.PoolHitRate)
 	}

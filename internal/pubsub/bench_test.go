@@ -144,8 +144,8 @@ func (s *sharedSub) DeliverShared(n *msg.Notification, enc *SharedEncoding) {
 // "pertarget" is the legacy path — one pooled clone per subscriber, each
 // encoding its own frame into its own buffer, which is what every
 // downstream connection did before frames were shared. The ns/delivery
-// metric divides the op cost by the width; BENCH_PR10.json gates the
-// width-1024 shared/pertarget ratio.
+// metric divides the op cost by the width; cmd/lasthop-benchgate gates
+// the width-1024 pertarget/shared ratio.
 func BenchmarkBrokerFanoutWidth(b *testing.B) {
 	payload := make([]byte, 256)
 	for _, width := range []int{8, 256, 1024} {
