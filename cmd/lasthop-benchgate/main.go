@@ -354,6 +354,29 @@ func allocBudget(bench string, limit float64) gate {
 		}}
 }
 
+// bytesSlack is how far B/op may drift above the baseline's: unlike
+// allocs/op it is a mean of byte counts that shift with pool and GC
+// timing (±0.5% between identical runs), while a regression worth
+// catching — a per-connection buffer growing back — moves it by tens of
+// percent.
+const bytesSlack = 0.05
+
+// bytesBudget holds bench's B/op at or below limit and within bytesSlack
+// of the baseline's value, where the baseline records one.
+func bytesBudget(bench string, limit float64) gate {
+	return gate{name: fmt.Sprintf("%s B/op <= %g and <= baseline + %g%%", bench, limit, bytesSlack*100), benches: []string{bench},
+		check: func(st []benchStats, _ *result, base *report) (float64, error) {
+			bytes := st[0].BytesPerOp
+			if bytes > limit {
+				return bytes, errors.New("over budget")
+			}
+			if old, ok := base.Benchmarks[bench]; ok && bytes > old.BytesPerOp*(1+bytesSlack) {
+				return bytes, fmt.Errorf("regressed past the baseline's %g", old.BytesPerOp)
+			}
+			return bytes, nil
+		}}
+}
+
 // ratio is slow's cost over fast's, per delivery where both report it
 // and per op otherwise. A zero floor reports the ratio without gating it.
 func ratio(slow, fast string, floor float64) gate {

@@ -48,6 +48,7 @@ func goodBench() map[string]benchStats {
 	return map[string]benchStats{
 		"HostForwardPath/sessions=1":             {NsPerOp: 9000, AllocsPerOp: 7},
 		"HostForwardPath/sessions=8":             {NsPerOp: 11000, AllocsPerOp: 8},
+		"HostSessionSetup":                       {NsPerOp: 300000, BytesPerOp: 17000, AllocsPerOp: 108},
 		"BrokerFanoutWidth/shared/width-8":       {NsPerOp: 2000, NsPerDelivery: 250, AllocsPerOp: 1},
 		"BrokerFanoutWidth/shared/width-1024":    {NsPerOp: 40000, NsPerDelivery: 40, AllocsPerOp: 1},
 		"BrokerFanoutWidth/pertarget/width-1024": {NsPerOp: 800000, NsPerDelivery: 800, AllocsPerOp: 1},
@@ -72,6 +73,7 @@ func goodRun(r row) *loadgen.Report {
 var baseline = &report{Schema: schema, Benchmarks: map[string]benchStats{
 	"HostForwardPath/sessions=1": {AllocsPerOp: 7},
 	"HostForwardPath/sessions=8": {AllocsPerOp: 8},
+	"HostSessionSetup":           {BytesPerOp: 17000, AllocsPerOp: 108},
 }}
 
 // violations breaks each gate of the table, keyed by gate name; a gate
@@ -86,6 +88,16 @@ var violations = map[string][]func(res *result){
 	"HostForwardPath/sessions=8 allocs/op <= 10 and <= baseline": {
 		func(res *result) { res.bench["HostForwardPath/sessions=8"] = benchStats{AllocsPerOp: 11} },
 		func(res *result) { res.bench["HostForwardPath/sessions=8"] = benchStats{AllocsPerOp: 9} }, // baseline 8
+	},
+	"HostSessionSetup allocs/op <= 120 and <= baseline": {
+		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17000, AllocsPerOp: 121} },
+		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17000, AllocsPerOp: 109} }, // baseline 108
+	},
+	"HostSessionSetup B/op <= 32768 and <= baseline + 5%": {
+		// 64 KiB read buffers at both ends of every connection.
+		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 141000, AllocsPerOp: 108} },
+		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17900, AllocsPerOp: 108} }, // baseline 17000
+		func(res *result) { delete(res.bench, "HostSessionSetup") },
 	},
 	"BrokerFanoutWidth/pertarget/width-1024 / BrokerFanoutWidth/shared/width-1024 >= 5": {
 		func(res *result) {
@@ -160,6 +172,27 @@ func TestAllocBudgetWithoutBaseline(t *testing.T) {
 		res := &result{bench: map[string]benchStats{"HostForwardPath/sessions=1": {AllocsPerOp: allocs}}}
 		if c := judge(r, res, false, &report{})[0]; (c.Status == "pass") != want {
 			t.Errorf("%g allocs/op without a baseline: %s, want pass=%v", allocs, c.Status, want)
+		}
+	}
+}
+
+// TestBytesBudgetSlack: B/op may drift within bytesSlack of the baseline
+// without failing, and the budget alone holds without a baseline.
+func TestBytesBudgetSlack(t *testing.T) {
+	r := row{name: "setup", gates: []gate{bytesBudget("HostSessionSetup", 32*1024)}}
+	for _, tc := range []struct {
+		bytes float64
+		base  *report
+		want  bool
+	}{
+		{17800, baseline, true},  // +4.7% over the baseline's 17000
+		{17900, baseline, false}, // +5.3%
+		{32 * 1024, &report{}, true},
+		{32*1024 + 1, &report{}, false},
+	} {
+		res := &result{bench: map[string]benchStats{"HostSessionSetup": {BytesPerOp: tc.bytes}}}
+		if c := judge(r, res, false, tc.base)[0]; (c.Status == "pass") != tc.want {
+			t.Errorf("%g B/op (baseline %v): %s, want pass=%v", tc.bytes, tc.base.Benchmarks["HostSessionSetup"], c.Status, tc.want)
 		}
 	}
 }

@@ -24,6 +24,11 @@ func table() []row {
 			gates: []gate{runSucceeds()}},
 		{name: "host-forward-path", pkgs: []string{"./internal/host/"}, bench: "^BenchmarkHostForwardPath$", smoke: 20000, full: 100000,
 			gates: []gate{allocBudget("HostForwardPath/sessions=1", 8), allocBudget("HostForwardPath/sessions=8", 10)}},
+		// One op is a device reconnect: dial, hello, subscribe, close. The
+		// byte budget holds both ends' read buffers at their small initial
+		// size; 64 KiB per connection would cost over 128 KiB per op.
+		{name: "session-setup", pkgs: []string{"./internal/host/"}, bench: "^BenchmarkHostSessionSetup$", smoke: 2000, full: 20000,
+			gates: []gate{allocBudget("HostSessionSetup", 120), bytesBudget("HostSessionSetup", 32*1024)}},
 		// The in-process broker benchmark isolates the encode-once delta
 		// from TCP scheduling noise, so its ratio is the gated one.
 		{name: "broker-fanout-width", pkgs: []string{"./internal/pubsub/"}, bench: "^BenchmarkBrokerFanoutWidth$", smoke: 2000, full: 20000,

@@ -23,6 +23,31 @@ const hostBenchBatch = 64
 // read, consuming the local queue inside the timed region.
 const hostBenchDrainEvery = 1024
 
+// startBenchHost serves a broker and a host chained to it on loopback
+// until the benchmark run ends, and returns their addresses.
+func startBenchHost(b *testing.B) (brokerAddr, hostAddr string) {
+	b.Helper()
+	bl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs := wire.NewBrokerServer(pubsub.NewBroker("bench-broker"), nil)
+	go func() { _ = bs.Serve(bl) }()
+	b.Cleanup(bs.Close)
+
+	h, err := New(Options{BrokerAddr: bl.Addr().String(), Name: "bench-host"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(h.Close)
+	hl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = h.Serve(hl) }()
+	return bl.Addr().String(), hl.Addr().String()
+}
+
 // BenchmarkHostForwardPath measures the last-hop pipeline: publisher →
 // broker server → host (sharded sessions, multiplexed upstream, wheel
 // timers) → device clients, at one session (the single-device deployment)
@@ -47,30 +72,13 @@ func BenchmarkHostForwardPath(b *testing.B) {
 }
 
 func benchHostForwardPath(b *testing.B, devices, publishers int) {
-	bl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := wire.NewBrokerServer(pubsub.NewBroker("bench-broker"), nil)
-	go func() { _ = bs.Serve(bl) }()
-	defer bs.Close()
-
-	h, err := New(Options{BrokerAddr: bl.Addr().String(), Name: "bench-host"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	hl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = h.Serve(hl) }()
+	brokerAddr, hostAddr := startBenchHost(b)
 
 	devs := make([]*wire.DeviceClient, devices)
 	topics := make([]string, devices)
 	for i := range devs {
 		topics[i] = fmt.Sprintf("bench/online-%d", i)
-		dev, err := wire.DialProxy(hl.Addr().String(), fmt.Sprintf("bench-dev-%d", i))
+		dev, err := wire.DialProxy(hostAddr, fmt.Sprintf("bench-dev-%d", i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +91,7 @@ func benchHostForwardPath(b *testing.B, devices, publishers int) {
 
 	pubs := make([]*wire.BrokerClient, publishers)
 	for w := range pubs {
-		pub, err := wire.DialBroker(bl.Addr().String(), "bench-pub-"+strconv.Itoa(w))
+		pub, err := wire.DialBroker(brokerAddr, "bench-pub-"+strconv.Itoa(w))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,28 +210,11 @@ func BenchmarkHostBroadcast(b *testing.B) {
 	const broadcastDevices = 64
 	const topic = "bench/broadcast"
 
-	bl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := wire.NewBrokerServer(pubsub.NewBroker("bench-broker"), nil)
-	go func() { _ = bs.Serve(bl) }()
-	defer bs.Close()
-
-	h, err := New(Options{BrokerAddr: bl.Addr().String(), Name: "bench-host"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	hl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = h.Serve(hl) }()
+	brokerAddr, hostAddr := startBenchHost(b)
 
 	devs := make([]*wire.DeviceClient, broadcastDevices)
 	for i := range devs {
-		dev, err := wire.DialProxy(hl.Addr().String(), fmt.Sprintf("bench-bdev-%d", i))
+		dev, err := wire.DialProxy(hostAddr, fmt.Sprintf("bench-bdev-%d", i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +225,7 @@ func BenchmarkHostBroadcast(b *testing.B) {
 		devs[i] = dev
 	}
 
-	pub, err := wire.DialBroker(bl.Addr().String(), "bench-pub")
+	pub, err := wire.DialBroker(brokerAddr, "bench-pub")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,4 +305,48 @@ func BenchmarkHostBroadcast(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*broadcastDevices), "ns/delivery")
+}
+
+// BenchmarkHostSessionSetup measures what one device reconnect costs the
+// host and the client: each op dials, says hello, subscribes and closes.
+// Ops cycle through a fixed set of session names, so after the first pass
+// every hello resumes an existing session and every subscribe reasserts
+// its topic — the reconnect storm that follows the paper's outages — and
+// per-op state stays flat however large b.N grows. B/op carries the
+// per-connection memory of both ends, read buffers included.
+func BenchmarkHostSessionSetup(b *testing.B) {
+	const sessions, topics = 64, 8
+	_, hostAddr := startBenchHost(b)
+
+	names := make([]string, sessions)
+	for i := range names {
+		names[i] = fmt.Sprintf("bench-setup-%d", i)
+	}
+	topicNames := make([]string, topics)
+	for i := range topicNames {
+		topicNames[i] = fmt.Sprintf("bench/setup-%d", i)
+	}
+	pol := wire.TopicPolicy{Mode: "on-demand", Max: 8, HistoryLimit: 64}
+	connect := func(i int) {
+		dev, err := wire.DialProxy(hostAddr, names[i%sessions])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dev.Subscribe(topicNames[i%topics], pol); err != nil {
+			b.Fatal(err)
+		}
+		_ = dev.Close()
+	}
+	// One untimed pass creates every session and upstream subscription,
+	// so the timed ops are all reconnects whatever b.N is.
+	for i := 0; i < sessions; i++ {
+		connect(i)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		connect(i)
+	}
+	b.StopTimer()
 }

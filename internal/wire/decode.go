@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/base64"
+	"strings"
 	"time"
 
 	"lasthop/internal/burst"
@@ -9,10 +10,13 @@ import (
 )
 
 // The decoder below hand-rolls the JSON for the frame shapes that dominate
-// wire traffic — pushes, push batches, publishes, and OK/error responses —
-// mirroring the hand-rolled encoders in encode.go. encoding/json's
-// reflective Unmarshal into the 18-field Frame struct is the single
-// largest per-notification allocation source on the receive path. The
+// wire traffic — pushes, push batches, publishes, reads, and OK/error
+// responses — mirroring the hand-rolled encoders in encode.go, plus the
+// session-establishment shapes every reconnect repeats: the hello, its
+// OK reply carrying caps, and the device subscribe with its topic policy.
+// encoding/json's reflective Unmarshal into the 18-field Frame struct is
+// the single largest per-notification allocation source on the receive
+// path, and its deep call chains grow the reading goroutine's stack. The
 // decoder is strict: any shape it does not recognize exactly (an
 // unexpected key, a string escape, an exotic number) makes it bail and the
 // caller falls back to json.Unmarshal, so the two paths accept the same
@@ -89,6 +93,9 @@ func decodeFrameOpts(data []byte, f *Frame, o *decodeOpts) bool {
 			return false
 		}
 		d.ws()
+		// A repeated object or array key bails: encoding/json merges a
+		// repeated object into the first and replaces a repeated array,
+		// and a replaced pooled notification would leak from the pool.
 		switch string(key) {
 		case "type":
 			v, ok := d.str()
@@ -115,6 +122,10 @@ func decodeFrameOpts(data []byte, f *Frame, o *decodeOpts) bool {
 				f.Type = TypePing
 			case TypePong:
 				f.Type = TypePong
+			case TypeHello:
+				f.Type = TypeHello
+			case TypeSubscribe:
+				f.Type = TypeSubscribe
 			default:
 				return false
 			}
@@ -167,19 +178,25 @@ func decodeFrameOpts(data []byte, f *Frame, o *decodeOpts) bool {
 			}
 			f.Count = int(v)
 		case "read":
+			if f.Read != nil {
+				return false
+			}
 			r := new(msg.ReadRequest)
 			if !d.readRequest(r) {
 				return false
 			}
 			f.Read = r
 		case "notification":
+			if f.Notification != nil {
+				return false
+			}
 			n := d.opts.newNote()
 			f.Notification = n
 			if !d.notification(n) {
 				return false
 			}
 		case "batch":
-			if !d.consume('[') {
+			if len(f.Batch) != 0 || !d.consume('[') {
 				return false
 			}
 			d.ws()
@@ -202,13 +219,16 @@ func decodeFrameOpts(data []byte, f *Frame, o *decodeOpts) bool {
 				}
 			}
 		case "trace":
+			if f.Trace != nil {
+				return false
+			}
 			t := new(msg.TraceContext)
 			if !d.traceContext(t) {
 				return false
 			}
 			f.Trace = t
 		case "traces":
-			if !d.consume('[') {
+			if len(f.Traces) != 0 || !d.consume('[') {
 				return false
 			}
 			d.ws()
@@ -234,9 +254,42 @@ func decodeFrameOpts(data []byte, f *Frame, o *decodeOpts) bool {
 					return false
 				}
 			}
+		case "caps":
+			if f.Caps != nil || !d.consume('[') {
+				return false
+			}
+			// Non-nil even when empty, like encoding/json.
+			f.Caps = make([]string, 0, 2)
+			d.ws()
+			if !d.consume(']') {
+				for {
+					v, ok := d.str()
+					if !ok {
+						return false
+					}
+					f.Caps = append(f.Caps, internCap(v))
+					d.ws()
+					if d.consume(',') {
+						d.ws()
+						continue
+					}
+					if d.consume(']') {
+						break
+					}
+					return false
+				}
+			}
+		case "topicPolicy":
+			if f.TopicPolicy != nil {
+				return false
+			}
+			f.TopicPolicy = new(TopicPolicy)
+			if !d.topicPolicy(f.TopicPolicy) {
+				return false
+			}
 		default:
-			// Cold frame shapes (hello, subscribe, resume, read, rank
-			// updates, …) carry keys this decoder does not model.
+			// Cold frame shapes (resume, rank updates, broker
+			// subscriptions, …) carry keys this decoder does not model.
 			return false
 		}
 		d.ws()
@@ -251,6 +304,18 @@ func decodeFrameOpts(data []byte, f *Frame, o *decodeOpts) bool {
 	}
 	d.ws()
 	return d.pos == len(d.data) && f.Type != ""
+}
+
+// internCap returns the capability token v names, without allocating for
+// the tokens this build knows.
+func internCap(v []byte) string {
+	switch string(v) {
+	case CapPushBatch:
+		return CapPushBatch
+	case CapTrace:
+		return CapTrace
+	}
+	return string(v)
 }
 
 type frameDecoder struct {
@@ -334,6 +399,20 @@ func (d *frameDecoder) uint() (uint64, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// int parses a plain integer with an optional minus sign. Magnitudes
+// beyond 1<<31 bail, so the result fits an int on every platform.
+func (d *frameDecoder) int() (int, bool) {
+	neg := d.consume('-')
+	v, ok := d.uint()
+	if !ok || v > 1<<31 {
+		return 0, false
+	}
+	if neg {
+		return -int(v), true
+	}
+	return int(v), true
 }
 
 // float parses a decimal with an optional sign and fraction. Mantissas up
@@ -426,27 +505,11 @@ func (d *frameDecoder) readRequest(r *msg.ReadRequest) bool {
 			}
 			r.QueueSize = int(v)
 		case "clientEvents":
-			if !d.consume('[') {
+			if r.ClientEvents != nil {
 				return false
 			}
-			d.ws()
-			if !d.consume(']') {
-				for {
-					v, ok := d.str()
-					if !ok {
-						return false
-					}
-					r.ClientEvents = append(r.ClientEvents, msg.ID(v))
-					d.ws()
-					if d.consume(',') {
-						d.ws()
-						continue
-					}
-					if d.consume(']') {
-						break
-					}
-					return false
-				}
+			if r.ClientEvents, ok = d.idList(); !ok {
+				return false
 			}
 		case "peek":
 			switch {
@@ -466,6 +529,122 @@ func (d *frameDecoder) readRequest(r *msg.ReadRequest) bool {
 			continue
 		}
 		return d.consume('}')
+	}
+}
+
+// topicPolicy parses a device subscribe's policy: its scalar fields.
+// QuietWindows, the one nested field, bails to the slow path.
+func (d *frameDecoder) topicPolicy(p *TopicPolicy) bool {
+	d.ws()
+	if !d.consume('{') {
+		return false
+	}
+	d.ws()
+	if d.consume('}') {
+		return true
+	}
+	for {
+		key, ok := d.str()
+		if !ok {
+			return false
+		}
+		d.ws()
+		if !d.consume(':') {
+			return false
+		}
+		d.ws()
+		switch string(key) {
+		case "mode":
+			v, ok := d.str()
+			if !ok {
+				return false
+			}
+			p.Mode = string(v)
+		case "policy":
+			v, ok := d.str()
+			if !ok {
+				return false
+			}
+			p.Policy = string(v)
+		case "max":
+			if p.Max, ok = d.int(); !ok {
+				return false
+			}
+		case "prefetchLimit":
+			if p.PrefetchLimit, ok = d.int(); !ok {
+				return false
+			}
+		case "dailyOnlineCap":
+			if p.DailyOnlineCap, ok = d.int(); !ok {
+				return false
+			}
+		case "historyLimit":
+			if p.HistoryLimit, ok = d.int(); !ok {
+				return false
+			}
+		case "threshold":
+			if p.Threshold, ok = d.float(); !ok {
+				return false
+			}
+		case "delaySeconds":
+			if p.DelaySeconds, ok = d.float(); !ok {
+				return false
+			}
+		case "interruptRank":
+			if p.InterruptRank, ok = d.float(); !ok {
+				return false
+			}
+		default:
+			return false
+		}
+		d.ws()
+		if d.consume(',') {
+			d.ws()
+			continue
+		}
+		return d.consume('}')
+	}
+}
+
+// idList parses an array of plain strings into IDs that share one
+// allocation: a device reports every ID it holds on each READ, and a
+// string per ID would make the read the costliest frame a host decodes.
+// The list is non-nil even when empty, like encoding/json's.
+func (d *frameDecoder) idList() ([]msg.ID, bool) {
+	if !d.consume('[') {
+		return nil, false
+	}
+	start, n := d.pos, 0
+	d.ws()
+	if !d.consume(']') {
+		for {
+			if _, ok := d.str(); !ok {
+				return nil, false
+			}
+			n++
+			d.ws()
+			if d.consume(',') {
+				d.ws()
+				continue
+			}
+			if d.consume(']') {
+				break
+			}
+			return nil, false
+		}
+	}
+	// str admitted no escapes, so every '"' in the copy delimits an ID.
+	block := string(d.data[start:d.pos])
+	ids := make([]msg.ID, 0, n)
+	for rest := block; ; {
+		i := strings.IndexByte(rest, '"')
+		if i < 0 {
+			return ids, true
+		}
+		rest = rest[i+1:]
+		i = strings.IndexByte(rest, '"')
+		ids = append(ids, msg.ID(rest[:i]))
+		rest = rest[i+1:]
 	}
 }
 
@@ -601,7 +780,7 @@ func (d *frameDecoder) traceContext(t *msg.TraceContext) bool {
 			}
 			t.Origin = string(v)
 		case "hops":
-			if !d.consume('[') {
+			if len(t.Hops) != 0 || !d.consume('[') {
 				return false
 			}
 			d.ws()

@@ -10,3 +10,9 @@ var SyncExchange = syncExchange
 // DropConn severs a device client's current connection, as a radio drop
 // would.
 func DropConn(d *DeviceClient) { _ = d.currentConn().Close() }
+
+// InitialReadBufferBytes is the read buffer a connection starts with.
+const InitialReadBufferBytes = initialReadBufferBytes
+
+// ReadBufferSize reports the current size of conn's read buffer.
+func ReadBufferSize(conn *Conn) int { return len(conn.r.buf) }

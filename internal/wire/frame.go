@@ -288,11 +288,14 @@ type Conn struct {
 
 	// The egress ring (wmu-guarded): encoded frames awaiting the next
 	// vectored flush. ring owns the pooled buffers; vecs is the scratch
-	// net.Buffers rebuilt for each writev (WriteTo consumes its slice in
-	// place, so ownership never rides on it).
+	// net.Buffers rebuilt for each writev, and cursor the view of it that
+	// WriteTo consumes in place (so ownership never rides on either). The
+	// cursor lives here rather than on the stack because WriteTo takes
+	// its address, which would move a local to the heap on every flush.
 	ring      []*burst.Buf
 	ringBytes int
 	vecs      net.Buffers
+	cursor    net.Buffers
 
 	// m aggregates wire metrics; nil disables instrumentation.
 	// firstBuffered (wmu-guarded) records when the current ring started
@@ -324,9 +327,16 @@ type Conn struct {
 // unbounded lines.
 const maxFrameBytes = 1 << 20
 
-// readBufferBytes is the initial size of the per-connection read buffer;
-// it grows on demand up to maxFrameBytes.
-const readBufferBytes = 64 * 1024
+// Per-connection read buffer sizes. A connection starts with
+// initialReadBufferBytes — room for a hello, a subscribe, a READ and a
+// single push, which is all most device sessions ever carry at once — and
+// doubles whenever one read fills all the free space, up to
+// readBufferBytes: the cap for traffic-driven growth. A single frame
+// larger than the buffer still grows it, up to maxFrameBytes.
+const (
+	initialReadBufferBytes = 4 * 1024
+	readBufferBytes        = 64 * 1024
+)
 
 // Egress-ring bounds: once either is hit, the writer flushes inline,
 // which is the natural backpressure (matching the old write-buffer-full
@@ -442,10 +452,10 @@ func (c *Conn) flushRingLocked() {
 		for _, b := range c.ring {
 			c.vecs = append(c.vecs, b.B)
 		}
-		// WriteTo advances vecs in place (one writev per IOV_MAX chunk on
-		// TCP); the backing buffers stay owned by the ring.
-		v := c.vecs
-		if _, err := v.WriteTo(c.c); err != nil {
+		// WriteTo advances the cursor in place (one writev per IOV_MAX
+		// chunk on TCP); the backing buffers stay owned by the ring.
+		c.cursor = c.vecs
+		if _, err := c.cursor.WriteTo(c.c); err != nil {
 			c.werr = err
 		}
 		c.flushes.Add(1)
@@ -768,10 +778,14 @@ type lineReader struct {
 	sinceFill  int      // frames returned since the last fill, for ReadBurst
 	m          *Metrics // nil disables instrumentation
 	sawEOF     bool
+	// filled records that the last read filled all the free space: the
+	// peer sends faster than the buffer drains, so the next refill
+	// doubles it (up to readBufferBytes).
+	filled bool
 }
 
 func newLineReader(c net.Conn) *lineReader {
-	return &lineReader{c: c, buf: make([]byte, readBufferBytes)}
+	return &lineReader{c: c, buf: make([]byte, initialReadBufferBytes)}
 }
 
 // next returns the next line with its newline (and any trailing '\r')
@@ -804,23 +818,22 @@ func (r *lineReader) next() ([]byte, error) {
 			r.end -= r.start
 			r.start = 0
 		}
-		if r.end == len(r.buf) {
+		switch {
+		case r.end == len(r.buf):
+			// One frame fills the whole buffer.
 			if len(r.buf) > maxFrameBytes {
 				return nil, errFrameTooLong
 			}
-			grown := len(r.buf) * 2
-			if grown > maxFrameBytes+1 {
-				grown = maxFrameBytes + 1
-			}
-			nb := make([]byte, grown)
-			copy(nb, r.buf[:r.end])
-			r.buf = nb
+			r.grow(maxFrameBytes + 1)
+		case r.filled && len(r.buf) < readBufferBytes:
+			r.grow(readBufferBytes)
 		}
 		if r.m != nil && r.sinceFill > 0 {
 			r.m.ReadBurst.Observe(float64(r.sinceFill))
 		}
 		r.sinceFill = 0
 		n, err := r.c.Read(r.buf[r.end:])
+		r.filled = r.end+n == len(r.buf)
 		r.end += n
 		if err != nil {
 			if err == io.EOF {
@@ -835,6 +848,14 @@ func (r *lineReader) next() ([]byte, error) {
 			return nil, err
 		}
 	}
+}
+
+// grow doubles the buffer, up to limit bytes, keeping the unread bytes
+// (which next has already moved to the front).
+func (r *lineReader) grow(limit int) {
+	nb := make([]byte, min(len(r.buf)*2, limit))
+	copy(nb, r.buf[:r.end])
+	r.buf = nb
 }
 
 // errFrameTooLong rejects a line that outgrew the frame bound.

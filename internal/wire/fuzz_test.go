@@ -20,6 +20,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte(`{"type":"publish","notification":{"id":"a","topic":"t","rank":3}}`))
 	f.Add([]byte(`{"type":"read","read":{"topic":"t","n":8,"clientEvents":["a","b"]}}`))
 	f.Add([]byte(`{"type":"subscribe","topicPolicy":{"policy":"buffer","max":8}}`))
+	f.Add([]byte(`{"type":"subscribe","seq":2,"topic":"t","topicPolicy":{"mode":"on-demand","max":8,"threshold":0.75,"historyLimit":-1}}`))
+	f.Add([]byte(`{"type":"ok","re":1,"caps":["push-batch","trace-ctx"]}`))
+	f.Add([]byte(`{"type":"subscribe","topic":"t","topicPolicy":{"quietWindows":[{"startMinutes":0,"endMinutes":60}]}}`))
+	f.Add([]byte(`{"type":"hello","name":"x","caps":["push\u002dbatch"]}`))
+	f.Add([]byte(`{"type":"subscribe","subscription":{"topic":"t","subscriber":"s","options":{}}}`))
 	f.Add([]byte(`{"type":"push-batch","batch":[{"id":"a","topic":"t","rank":1},{"id":"b","topic":"t","rank":2,"payload":"aGk="}]}`))
 	f.Add([]byte(`{"type":"push-batch","batch":[null,{"id":"c","topic":"t","rank":3},null]}`))
 	f.Add([]byte(`{"type":"push-batch","batch":[]}`))
@@ -200,6 +205,28 @@ func FuzzDecodeFrameEquivalence(f *testing.F) {
 	f.Add([]byte(`{"type":"ok","re":03}`))
 	f.Add([]byte(`{"type":"ok","re":3} trailing`))
 	f.Add([]byte(`{"type":"push","notification":{"id":"\u00e9","topic":"t","rank":1,"published":"2026-01-01T00:00:00Z","expires":"0001-01-01T00:00:00Z"}}`))
+	// Session establishment: the hello, its reply, and the device
+	// subscribe are hot; a repeated caps key replaces the list and a
+	// repeated topicPolicy merges, as in encoding/json.
+	f.Add([]byte(`{"type":"hello","seq":1,"name":"dev-1","caps":["push-batch","trace-ctx","future-cap"]}`))
+	f.Add([]byte(`{"type":"ok","re":1,"caps":["push-batch","trace-ctx"]}`))
+	f.Add([]byte(`{"type":"hello","caps":["a"],"caps":[]}`))
+	f.Add([]byte(`{"type":"subscribe","seq":2,"topic":"t","topicPolicy":{"mode":"on-demand","policy":"buffer","max":8,"threshold":0.75,"prefetchLimit":4,"delaySeconds":1.5,"interruptRank":-2,"dailyOnlineCap":3,"historyLimit":-1}}`))
+	f.Add([]byte(`{"type":"subscribe","topic":"t","topicPolicy":{"max":1},"topicPolicy":{"threshold":-0.125}}`))
+	f.Add([]byte(`{"type":"subscribe","topic":"t","topicPolicy":{"historyLimit":-2147483648,"max":2147483648}}`))
+	// A repeated object or array key: encoding/json merges a repeated
+	// object into the same struct and replaces a repeated array, so the
+	// fast path must bail or match.
+	f.Add([]byte(`{"type":"read","seq":1,"read":{"topic":"t","n":1},"read":{"queueSize":2}}`))
+	f.Add([]byte(`{"type":"read","seq":1,"read":{"topic":"t","clientEvents":["a"],"clientEvents":["b","c"]}}`))
+	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"notification":{"rank":2}}`))
+	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"trace":{"id":"t1"},"trace":{"origin":"b1"}}`))
+	f.Add([]byte(`{"type":"push-batch","batch":[{"id":"a","topic":"t","rank":1}],"batch":[{"id":"b","topic":"t","rank":2}]}`))
+	f.Add([]byte(`{"type":"push-batch","batch":[],"batch":[{"id":"b","topic":"t","rank":2}],"traces":[null],"traces":[{"id":"b"}]}`))
+	// Shapes that stay cold.
+	f.Add([]byte(`{"type":"subscribe","topic":"t","topicPolicy":{"quietWindows":[{"startMinutes":0,"endMinutes":60}]}}`))
+	f.Add([]byte(`{"type":"hello","name":"x","caps":["push\u002dbatch"]}`))
+	f.Add([]byte(`{"type":"subscribe","subscription":{"topic":"t","subscriber":"s","options":{}}}`))
 	// Hop timestamps at and beyond the int64 range: encoding/json rejects
 	// anything past MaxInt64 (or below MinInt64), so the fast path must
 	// bail rather than wrap. MinInt64 itself is in range and must agree.

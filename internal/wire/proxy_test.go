@@ -179,6 +179,22 @@ func TestReadBurstArrivesBatched(t *testing.T) {
 	}
 }
 
+// TestSmallFramesKeepInitialReadBuffer: a session whose traffic is a
+// hello, a subscribe, a READ and a small burst never fills a read, so its
+// connection keeps the small initial read buffer.
+func TestSmallFramesKeepInitialReadBuffer(t *testing.T) {
+	h := newHarness(t)
+	dev := dialRawDevice(t, h.proxyAddr, wire.LocalCaps())
+	dev.subscribe(t, "news", wire.TopicPolicy{Policy: "on-demand", Max: 64})
+	publishBurst(t, h, "news", 10)
+	if _, _, total := dev.read(t, "news", 0); total != 10 {
+		t.Fatalf("read transferred %d notifications, want 10", total)
+	}
+	if got := wire.ReadBufferSize(dev.conn); got != wire.InitialReadBufferBytes {
+		t.Fatalf("read buffer grew to %d bytes on small frames, want %d", got, wire.InitialReadBufferBytes)
+	}
+}
+
 // TestLegacyDeviceGetsSinglePushes: a hello without the push-batch
 // capability must make the proxy fall back to one push frame per
 // notification, so old devices keep working.
