@@ -89,13 +89,30 @@ type report struct {
 	path        string                     // where a baseline was read from
 }
 
-// benchStats holds per-unit medians over a benchmark's repetitions.
+// benchStats holds per-unit medians over a benchmark's repetitions. The
+// omitempty units are reported by the benchmarks that define them.
 type benchStats struct {
-	NsPerOp       float64 `json:"ns_per_op"`
-	NsPerDelivery float64 `json:"ns_per_delivery,omitempty"`
-	BytesPerOp    float64 `json:"bytes_per_op"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-	Runs          int     `json:"runs"`
+	NsPerOp          float64 `json:"ns_per_op"`
+	NsPerDelivery    float64 `json:"ns_per_delivery,omitempty"`
+	BytesPerOp       float64 `json:"bytes_per_op"`
+	AllocsPerOp      float64 `json:"allocs_per_op"`
+	ExactAllocsPerOp float64 `json:"exact_allocs_per_op,omitempty"`
+	BytesPerEvent    float64 `json:"bytes_per_event,omitempty"`
+	Runs             int     `json:"runs"`
+}
+
+// value returns the stat for a gated unit and whether the benchmark
+// measured it; allocs/op is always measured under -benchmem.
+func (s benchStats) value(unit string) (float64, bool) {
+	switch unit {
+	case "allocs/op":
+		return s.AllocsPerOp, true
+	case "exact-allocs/op":
+		return s.ExactAllocsPerOp, s.ExactAllocsPerOp > 0
+	case "B/event":
+		return s.BytesPerEvent, s.BytesPerEvent > 0
+	}
+	panic("benchgate: no stat for unit " + unit)
 }
 
 // check is one gate's outcome. Status is "pass", "FAIL", "skipped" (a
@@ -295,7 +312,8 @@ func parseBench(out string, cpu int) map[string]benchStats {
 	}
 	stats := make(map[string]benchStats, len(samples))
 	for name, u := range samples {
-		stats[name] = benchStats{median(u["ns/op"]), median(u["ns/delivery"]), median(u["B/op"]), median(u["allocs/op"]), len(u["ns/op"])}
+		stats[name] = benchStats{median(u["ns/op"]), median(u["ns/delivery"]), median(u["B/op"]), median(u["allocs/op"]),
+			median(u["exact-allocs/op"]), median(u["B/event"]), len(u["ns/op"])}
 	}
 	return stats
 }
@@ -338,19 +356,28 @@ func runSucceeds() gate {
 	return gate{name: "exits clean", check: func([]benchStats, *result, *report) (float64, error) { return 0, nil }}
 }
 
-// allocBudget holds bench's allocs/op at or below limit and at or below
-// the baseline's value, where the baseline records one.
-func allocBudget(bench string, limit float64) gate {
-	return gate{name: fmt.Sprintf("%s allocs/op <= %g and <= baseline", bench, limit), benches: []string{bench},
+// budget holds bench's value in unit at or below limit and at or below
+// the baseline's value plus slack, where the baseline records one.
+func budget(bench, unit string, limit, slack float64) gate {
+	name := fmt.Sprintf("%s %s <= %g and <= baseline", bench, unit, limit)
+	if slack > 0 {
+		name += fmt.Sprintf(" + %g", slack)
+	}
+	return gate{name: name, benches: []string{bench},
 		check: func(st []benchStats, _ *result, base *report) (float64, error) {
-			allocs := st[0].AllocsPerOp
-			if allocs > limit {
-				return allocs, errors.New("over budget")
+			v, ok := st[0].value(unit)
+			switch {
+			case !ok:
+				return 0, errors.New(unit + " not reported")
+			case v > limit:
+				return v, errors.New("over budget")
 			}
-			if old, ok := base.Benchmarks[bench]; ok && allocs > old.AllocsPerOp {
-				return allocs, fmt.Errorf("regressed past the baseline's %g", old.AllocsPerOp)
+			if old, ok := base.Benchmarks[bench]; ok {
+				if was, ok := old.value(unit); ok && v > was+slack {
+					return v, fmt.Errorf("regressed past the baseline's %g", was)
+				}
 			}
-			return allocs, nil
+			return v, nil
 		}}
 }
 

@@ -23,6 +23,8 @@ BenchmarkBrokerFanoutWidth/shared/width-1024-8      	    2000	     40000 ns/op	 
 BenchmarkBrokerFanoutWidth/pertarget/width-1024-8   	    2000	    700000 ns/op	       683.6 ns/delivery	      96 B/op	       3 allocs/op
 BenchmarkHostForwardPath/sessions=1-8         	   20000	      9853 ns/op	    1660 B/op	       7 allocs/op
 BenchmarkHostForwardPath logs a line that is not a result
+BenchmarkHostSessionSetup-8   	    2000	    373238 ns/op	       105.6 exact-allocs/op	   16839 B/op	     105 allocs/op
+BenchmarkProxyRetention-8   	   20000	      1082 ns/op	        92.03 B/event	       0 B/op	       0 allocs/op
 PASS
 ok  	lasthop/internal/pubsub	2.784s
 `
@@ -33,6 +35,8 @@ func TestParseBenchByUnit(t *testing.T) {
 		"BrokerFanoutWidth/shared/width-1024":    {NsPerOp: 40000, NsPerDelivery: 39.06, BytesPerOp: 95, AllocsPerOp: 1, Runs: 2},
 		"BrokerFanoutWidth/pertarget/width-1024": {NsPerOp: 700000, NsPerDelivery: 683.6, BytesPerOp: 96, AllocsPerOp: 3, Runs: 2},
 		"HostForwardPath/sessions=1":             {NsPerOp: 9853, BytesPerOp: 1660, AllocsPerOp: 7, Runs: 1},
+		"HostSessionSetup":                       {NsPerOp: 373238, BytesPerOp: 16839, AllocsPerOp: 105, ExactAllocsPerOp: 105.6, Runs: 1},
+		"ProxyRetention":                         {NsPerOp: 1082, BytesPerEvent: 92.03, Runs: 1},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks %v, want %d", len(got), got, len(want))
@@ -48,7 +52,10 @@ func goodBench() map[string]benchStats {
 	return map[string]benchStats{
 		"HostForwardPath/sessions=1":             {NsPerOp: 9000, AllocsPerOp: 7},
 		"HostForwardPath/sessions=8":             {NsPerOp: 11000, AllocsPerOp: 8},
-		"HostSessionSetup":                       {NsPerOp: 300000, BytesPerOp: 17000, AllocsPerOp: 108},
+		"HostSessionSetup":                       {NsPerOp: 300000, BytesPerOp: 17000, AllocsPerOp: 106, ExactAllocsPerOp: 106.4},
+		"ProxyNotify":                            {NsPerOp: 2000, AllocsPerOp: 2},
+		"ProxyRead":                              {NsPerOp: 1000, AllocsPerOp: 2},
+		"ProxyRetention":                         {NsPerOp: 1000, AllocsPerOp: 0, BytesPerEvent: 92},
 		"BrokerFanoutWidth/shared/width-8":       {NsPerOp: 2000, NsPerDelivery: 250, AllocsPerOp: 1},
 		"BrokerFanoutWidth/shared/width-1024":    {NsPerOp: 40000, NsPerDelivery: 40, AllocsPerOp: 1},
 		"BrokerFanoutWidth/pertarget/width-1024": {NsPerOp: 800000, NsPerDelivery: 800, AllocsPerOp: 1},
@@ -73,7 +80,10 @@ func goodRun(r row) *loadgen.Report {
 var baseline = &report{Schema: schema, Benchmarks: map[string]benchStats{
 	"HostForwardPath/sessions=1": {AllocsPerOp: 7},
 	"HostForwardPath/sessions=8": {AllocsPerOp: 8},
-	"HostSessionSetup":           {BytesPerOp: 17000, AllocsPerOp: 108},
+	"HostSessionSetup":           {BytesPerOp: 17000, AllocsPerOp: 105, ExactAllocsPerOp: 105.6},
+	"ProxyNotify":                {AllocsPerOp: 2},
+	"ProxyRead":                  {AllocsPerOp: 2},
+	"ProxyRetention":             {AllocsPerOp: 0, BytesPerEvent: 92},
 }}
 
 // violations breaks each gate of the table, keyed by gate name; a gate
@@ -89,15 +99,43 @@ var violations = map[string][]func(res *result){
 		func(res *result) { res.bench["HostForwardPath/sessions=8"] = benchStats{AllocsPerOp: 11} },
 		func(res *result) { res.bench["HostForwardPath/sessions=8"] = benchStats{AllocsPerOp: 9} }, // baseline 8
 	},
-	"HostSessionSetup allocs/op <= 120 and <= baseline": {
-		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17000, AllocsPerOp: 121} },
-		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17000, AllocsPerOp: 109} }, // baseline 108
+	"HostSessionSetup exact-allocs/op <= 120 and <= baseline + 1": {
+		func(res *result) {
+			res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17000, ExactAllocsPerOp: 120.1}
+		},
+		func(res *result) {
+			res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17000, ExactAllocsPerOp: 106.7}
+		}, // baseline 105.6
+		// Only the truncated count: the exact mean went missing.
+		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17000, AllocsPerOp: 105} },
 	},
 	"HostSessionSetup B/op <= 32768 and <= baseline + 5%": {
 		// 64 KiB read buffers at both ends of every connection.
-		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 141000, AllocsPerOp: 108} },
-		func(res *result) { res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17900, AllocsPerOp: 108} }, // baseline 17000
+		func(res *result) {
+			res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 141000, ExactAllocsPerOp: 105.6}
+		},
+		func(res *result) {
+			res.bench["HostSessionSetup"] = benchStats{BytesPerOp: 17900, ExactAllocsPerOp: 105.6}
+		}, // baseline 17000
 		func(res *result) { delete(res.bench, "HostSessionSetup") },
+	},
+	"ProxyNotify allocs/op <= 3 and <= baseline": {
+		func(res *result) { res.bench["ProxyNotify"] = benchStats{AllocsPerOp: 4} },
+		func(res *result) { res.bench["ProxyNotify"] = benchStats{AllocsPerOp: 3} }, // baseline 2
+		func(res *result) { delete(res.bench, "ProxyNotify") },
+	},
+	"ProxyRead allocs/op <= 3 and <= baseline": {
+		func(res *result) { res.bench["ProxyRead"] = benchStats{AllocsPerOp: 4} },
+		func(res *result) { res.bench["ProxyRead"] = benchStats{AllocsPerOp: 3} }, // baseline 2
+	},
+	"ProxyRetention allocs/op <= 0 and <= baseline": {
+		func(res *result) { res.bench["ProxyRetention"] = benchStats{AllocsPerOp: 1, BytesPerEvent: 92} },
+	},
+	"ProxyRetention B/event <= 128 and <= baseline + 1": {
+		// Three per-event ID maps per topic instead of one.
+		func(res *result) { res.bench["ProxyRetention"] = benchStats{BytesPerEvent: 197.4} },
+		func(res *result) { res.bench["ProxyRetention"] = benchStats{BytesPerEvent: 93.5} }, // baseline 92
+		func(res *result) { res.bench["ProxyRetention"] = benchStats{} },
 	},
 	"BrokerFanoutWidth/pertarget/width-1024 / BrokerFanoutWidth/shared/width-1024 >= 5": {
 		func(res *result) {
@@ -167,7 +205,7 @@ func TestEveryGateTrips(t *testing.T) {
 // TestAllocBudgetWithoutBaseline: with no baseline file the budget alone
 // holds the line.
 func TestAllocBudgetWithoutBaseline(t *testing.T) {
-	r := row{name: "fwd", gates: []gate{allocBudget("HostForwardPath/sessions=1", 8)}}
+	r := row{name: "fwd", gates: []gate{budget("HostForwardPath/sessions=1", "allocs/op", 8, 0)}}
 	for allocs, want := range map[float64]bool{8: true, 9: false} {
 		res := &result{bench: map[string]benchStats{"HostForwardPath/sessions=1": {AllocsPerOp: allocs}}}
 		if c := judge(r, res, false, &report{})[0]; (c.Status == "pass") != want {
@@ -193,6 +231,30 @@ func TestBytesBudgetSlack(t *testing.T) {
 		res := &result{bench: map[string]benchStats{"HostSessionSetup": {BytesPerOp: tc.bytes}}}
 		if c := judge(r, res, false, tc.base)[0]; (c.Status == "pass") != tc.want {
 			t.Errorf("%g B/op (baseline %v): %s, want pass=%v", tc.bytes, tc.base.Benchmarks["HostSessionSetup"], c.Status, tc.want)
+		}
+	}
+}
+
+// TestExactAllocSlack: the exact mean may sit up to the slack above the
+// baseline's; a baseline that records only the truncated count (the
+// shape before the exact mean was reported) leaves the budget alone.
+func TestExactAllocSlack(t *testing.T) {
+	r := row{name: "setup", gates: []gate{budget("HostSessionSetup", "exact-allocs/op", 120, 1)}}
+	truncated := &report{Benchmarks: map[string]benchStats{"HostSessionSetup": {AllocsPerOp: 105}}}
+	for _, tc := range []struct {
+		exact float64
+		base  *report
+		want  bool
+	}{
+		{106.6, baseline, true}, // baseline 105.6 + 1
+		{106.7, baseline, false},
+		{119, truncated, true},
+		{120, &report{}, true},
+		{120.1, &report{}, false},
+	} {
+		res := &result{bench: map[string]benchStats{"HostSessionSetup": {ExactAllocsPerOp: tc.exact}}}
+		if c := judge(r, res, false, tc.base)[0]; (c.Status == "pass") != tc.want {
+			t.Errorf("%g exact allocs/op (baseline %v): %s, want pass=%v", tc.exact, tc.base.Benchmarks["HostSessionSetup"], c.Status, tc.want)
 		}
 	}
 }

@@ -214,6 +214,12 @@ func TestResumeRequeuesLostForwards(t *testing.T) {
 	if st.Resumes != 1 || st.ResumeRequeued != 1 || st.ResumeLost != 0 {
 		t.Errorf("resume stats = %+v, want 1 resume, 1 requeued, 0 lost", st)
 	}
+	// The re-forward is a new delivery, not a rank-revision signal: it
+	// grows the device queue view from the reported 1 (b) to 2.
+	if s := f.snapshot(t); st.RankDropSignals != 0 || s.QueueSizeView != 2 || s.Forwarded != 3 {
+		t.Errorf("after re-forward: %d rank signals, queue view %d, %d forwarded; want 0, 2, 3",
+			st.RankDropSignals, s.QueueSizeView, s.Forwarded)
+	}
 }
 
 // TestResumeLostExpired: a forwarded-and-lost notification whose lifetime
@@ -232,6 +238,9 @@ func TestResumeLostExpired(t *testing.T) {
 	st := f.proxy.Stats()
 	if st.ResumeLost != 1 || st.ResumeRequeued != 0 {
 		t.Errorf("resume stats = %+v, want 1 lost, 0 requeued", st)
+	}
+	if s := f.snapshot(t); s.Forwarded != 0 {
+		t.Errorf("forwarded = %d after the loss, want 0", s.Forwarded)
 	}
 }
 

@@ -47,11 +47,11 @@ func checkInvariants(t *testing.T, p *Proxy, topic string, step int) {
 	// virtual time).
 	for _, q := range []*msg.IDSet{&inOutgoing, &inPrefetch, &inHolding} {
 		for id := range *q {
-			n, ok := ts.known[id]
+			e, ok := ts.known[id]
 			if !ok {
 				t.Fatalf("step %d: queued event %s unknown", step, id)
 			}
-			if n.Expired(now) {
+			if e.n.Expired(now) {
 				t.Fatalf("step %d: expired event %s still queued", step, id)
 			}
 		}
@@ -59,26 +59,22 @@ func checkInvariants(t *testing.T, p *Proxy, topic string, step int) {
 
 	// 4. Forwarded events never sit in prefetch or holding (outgoing is
 	// allowed: rank-revision signals).
-	for id := range ts.forwarded {
-		if inPrefetch.Contains(id) || inHolding.Contains(id) {
+	for id, e := range ts.known {
+		if e.forwarded && (inPrefetch.Contains(id) || inHolding.Contains(id)) {
 			t.Fatalf("step %d: forwarded event %s still prefetchable", step, id)
 		}
 	}
 
-	// 5. Every queued event is remembered by the history.
-	for _, set := range []msg.IDSet{inOutgoing, inPrefetch, inHolding} {
-		for id := range set {
-			if !ts.history.Contains(id) {
-				t.Fatalf("step %d: queued event %s not in history", step, id)
-			}
-		}
-	}
+	// 5. The event table and the history are the same set of the same
+	// size (with invariant 3, every queued event is remembered), and the
+	// forwarded counter matches the records flagged forwarded.
+	checkEventTable(t, ts, step)
 
 	// 6. Below-threshold events are never queued for prefetch; holding
 	// and prefetch entries all meet the rank threshold.
 	for _, set := range []msg.IDSet{inPrefetch, inHolding} {
 		for id := range set {
-			if ts.known[id].Rank < ts.cfg.RankThreshold {
+			if ts.known[id].n.Rank < ts.cfg.RankThreshold {
 				t.Fatalf("step %d: below-threshold event %s queued", step, id)
 			}
 		}
@@ -99,6 +95,37 @@ func checkInvariants(t *testing.T, p *Proxy, topic string, step int) {
 	// 9. With the network up the outgoing queue is always drained.
 	if p.networkUp && ts.outgoing.Len() > 0 {
 		t.Fatalf("step %d: outgoing not drained while network up", step)
+	}
+}
+
+// checkEventTable asserts the lockstep rule of a topic's event table: the
+// history ring and the known keys are one set of one size, each record
+// holds the content of its own ID, and the forwarded counter equals the
+// number of records flagged forwarded.
+func checkEventTable(t *testing.T, ts *topicState, step int) {
+	t.Helper()
+	ring := ts.history.IDs()
+	if len(ring) != ts.history.Len() || len(ring) != len(ts.known) {
+		t.Fatalf("step %d: history holds %d IDs (Len %d), known %d records", step, len(ring), ts.history.Len(), len(ts.known))
+	}
+	seen := make(msg.IDSet, len(ring))
+	for _, id := range ring {
+		if !seen.Add(id) {
+			t.Fatalf("step %d: %s twice in the history", step, id)
+		}
+		e, ok := ts.known[id]
+		if !ok || e.n == nil || e.n.ID != id {
+			t.Fatalf("step %d: history ID %s has record %+v", step, id, e)
+		}
+	}
+	flagged := 0
+	for _, e := range ts.known {
+		if e.forwarded {
+			flagged++
+		}
+	}
+	if flagged != ts.forwarded {
+		t.Fatalf("step %d: forwarded counter %d, %d records flagged", step, ts.forwarded, flagged)
 	}
 }
 
@@ -155,6 +182,13 @@ func TestProxyInvariantsUnderRandomOps(t *testing.T) {
 			cfg := UnifiedConfig("t", 8)
 			cfg.RankThreshold = 3
 			cfg.Delay = 5 * time.Minute
+			return cfg
+		}(),
+		// A history smaller than the arrivals: evictions forget forwarded
+		// and staged events alike while the table must stay in lockstep.
+		"buffer-evicting": func() TopicConfig {
+			cfg := BufferConfig("t", 8, 16)
+			cfg.HistoryLimit = 24
 			return cfg
 		}(),
 	}

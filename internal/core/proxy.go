@@ -113,9 +113,11 @@ type topicState struct {
 	delayed     map[msg.ID]delayedTimer // delay stage (§3.4) and quiet windows
 	expiryTimer map[msg.ID]simtime.Timer
 
-	history   *rankedq.History             // topic.history with GC
-	known     map[msg.ID]*msg.Notification // latest content for IDs in history
-	forwarded msg.IDSet                    // topic.forwarded
+	// known is the topic's one event table: a record for every ID in
+	// history, and for no other. history only orders the IDs for GC.
+	history   *rankedq.History // topic.history's arrival order
+	known     map[msg.ID]event
+	forwarded int // records in known flagged forwarded
 
 	queueSize     int // proxy's view of the client device queue
 	prefetchLimit int
@@ -133,6 +135,29 @@ type topicState struct {
 	// Daily on-line delivery cap accounting (§2.2 refinement).
 	onlineDay  int
 	onlineSent int
+}
+
+// event is one remembered notification: the latest content for its ID and
+// whether it is in Figure 7's topic.forwarded.
+type event struct {
+	n         *msg.Notification
+	forwarded bool
+}
+
+// setForwarded moves a remembered event into or out of topic.forwarded,
+// keeping the count beside the table.
+func (ts *topicState) setForwarded(id msg.ID, on bool) {
+	e, ok := ts.known[id]
+	if !ok || e.forwarded == on {
+		return
+	}
+	e.forwarded = on
+	ts.known[id] = e
+	if on {
+		ts.forwarded++
+	} else {
+		ts.forwarded--
+	}
 }
 
 // delayedTimer is one armed delay-stage or quiet-window timer plus the
@@ -192,8 +217,7 @@ func (p *Proxy) AddTopic(cfg TopicConfig) error {
 		delayed:      make(map[msg.ID]delayedTimer),
 		expiryTimer:  make(map[msg.ID]simtime.Timer),
 		history:      rankedq.NewHistory(cfg.HistoryLimit),
-		known:        make(map[msg.ID]*msg.Notification),
-		forwarded:    make(msg.IDSet),
+		known:        make(map[msg.ID]event),
 		expThreshold: cfg.ExpirationThreshold,
 		delay:        cfg.Delay,
 		readSizes:    stats.NewMovingAverage(cfg.StatsWindow),
@@ -239,9 +263,9 @@ func (p *Proxy) RemoveTopic(name string) error {
 		t.Cancel()
 		delete(ts.expiryTimer, id)
 	}
-	for id, n := range ts.known {
+	for id, e := range ts.known {
 		delete(ts.known, id)
-		p.releaseNote(n)
+		p.releaseNote(e.n)
 	}
 	delete(p.topics, name)
 	return nil
@@ -518,8 +542,8 @@ func (p *Proxy) quietTimeout(ts *topicState, id msg.ID) {
 	}
 	delete(ts.delayed, id)
 	now := p.sched.Now()
-	n, ok := ts.known[id]
-	if !ok || n.Expired(now) || n.Rank < ts.cfg.RankThreshold {
+	n := ts.known[id].n
+	if n == nil || n.Expired(now) || n.Rank < ts.cfg.RankThreshold {
 		return
 	}
 	if quiet, rem := ts.quietRemaining(now); quiet {
@@ -551,13 +575,13 @@ func (p *Proxy) mustPush(q *rankedq.Queue, n *msg.Notification) {
 	_ = q.Push(n)
 }
 
-// remember records an event in the topic history, evicting (and fully
-// forgetting) the oldest events beyond the history bound.
+// remember records a new event in the topic history, evicting (and fully
+// forgetting) the oldest event beyond the history bound. The caller has
+// checked that n.ID is not already known.
 func (p *Proxy) remember(ts *topicState, n *msg.Notification) {
-	ts.known[n.ID] = n
-	evicted, _ := ts.history.Add(n.ID)
-	for _, id := range evicted {
-		p.forget(ts, id)
+	ts.known[n.ID] = event{n: n}
+	if old, ok := ts.history.Add(n.ID); ok {
+		p.forget(ts, old)
 	}
 }
 
@@ -576,11 +600,13 @@ func (p *Proxy) forget(ts *topicState, id msg.ID) {
 		t.Cancel()
 		delete(ts.expiryTimer, id)
 	}
-	if n, ok := ts.known[id]; ok {
+	if e, ok := ts.known[id]; ok {
 		delete(ts.known, id)
-		p.releaseNote(n)
+		if e.forwarded {
+			ts.forwarded--
+		}
+		p.releaseNote(e.n)
 	}
-	ts.forwarded.Remove(id)
 }
 
 // scheduleExpiry arms Figure 7's expiration_timeout for the event.
@@ -621,7 +647,7 @@ func (p *Proxy) expirationTimeout(ts *topicState, id msg.ID) {
 	p.stats.Expirations++
 	if p.tracer != nil {
 		e := trace.Event{Kind: trace.KindExpire, Topic: ts.cfg.Name, ID: id, Queue: queue}
-		if n, ok := ts.known[id]; ok {
+		if n := ts.known[id].n; n != nil {
 			e.Rank = n.Rank
 			if n.Trace != nil {
 				e.TraceID = n.Trace.TraceID
@@ -642,8 +668,8 @@ func (p *Proxy) delayTimeout(ts *topicState, id msg.ID) {
 		return
 	}
 	delete(ts.delayed, id)
-	n, ok := ts.known[id]
-	if !ok || n.Expired(p.sched.Now()) || n.Rank < ts.cfg.RankThreshold {
+	n := ts.known[id].n
+	if n == nil || n.Expired(p.sched.Now()) || n.Rank < ts.cfg.RankThreshold {
 		return
 	}
 	p.traceDecision(trace.KindEnqueue, ts, n, "prefetch", "delay elapsed")
@@ -664,11 +690,11 @@ func (p *Proxy) ApplyRankUpdate(u msg.RankUpdate) {
 
 // applyRank implements Figure 7's rank-revision branch.
 func (p *Proxy) applyRank(ts *topicState, id msg.ID, rank float64) {
-	n, ok := ts.known[id]
+	rec, ok := ts.known[id]
 	if !ok {
 		return // never heard of it (or already garbage-collected)
 	}
-	oldRank := n.Rank
+	n, oldRank := rec.n, rec.n.Rank
 	n.Rank = rank
 
 	if rank < ts.cfg.RankThreshold {
@@ -690,7 +716,7 @@ func (p *Proxy) applyRank(ts *topicState, id msg.ID, rank float64) {
 			ts.dropLags.Add(p.sched.Now().Sub(n.Published).Seconds())
 			p.recomputeDelay(ts)
 		}
-		if ts.forwarded.Contains(id) && !n.Expired(p.sched.Now()) {
+		if rec.forwarded && !n.Expired(p.sched.Now()) {
 			// Tell the client of the rank drop so it can discard its
 			// copy. (An expired message needs no signal: the device
 			// purges expired content on its own, and its expiry timer
@@ -709,7 +735,7 @@ func (p *Proxy) applyRank(ts *topicState, id msg.ID, rank float64) {
 			if _, ok := ts.outgoing.Remove(id); ok {
 				purged = "outgoing"
 			}
-			if purged != "" && !ts.forwarded.Contains(id) {
+			if purged != "" && !rec.forwarded {
 				// Terminal for a never-forwarded event; a forwarded one is
 				// finished by the device when its own copy goes.
 				p.traceDecision(trace.KindDrop, ts, n, purged,
@@ -733,7 +759,7 @@ func (p *Proxy) applyRank(ts *topicState, id msg.ID, rank float64) {
 		if n.Expired(p.sched.Now()) {
 			break
 		}
-		if ts.forwarded.Contains(id) {
+		if rec.forwarded {
 			// The client holds a stale rank; push the revision.
 			p.mustPush(ts.outgoing, n)
 			break
@@ -803,8 +829,8 @@ func (p *Proxy) Read(req msg.ReadRequest) error {
 		}
 	}
 	for _, id := range req.ClientEvents {
-		if kn, ok := ts.known[id]; ok {
-			combined = append(combined, candidate{n: kn, onClient: true})
+		if e, ok := ts.known[id]; ok {
+			combined = append(combined, candidate{n: e.n, onClient: true})
 		} else {
 			// The proxy no longer remembers this event; it cannot be
 			// displaced by anything it would send, so it occupies a
@@ -905,29 +931,19 @@ func (p *Proxy) Resume(topic string, have, read msg.IDSet) error {
 	p.stats.Resumes++
 	now := p.sched.Now()
 
-	// Forwarded-but-absent IDs were lost in flight.
-	var lost []msg.ID
-	for id := range ts.forwarded {
-		if !have.Contains(id) && !read.Contains(id) {
-			lost = append(lost, id)
+	for id, rec := range ts.known {
+		if !rec.forwarded || have.Contains(id) || read.Contains(id) {
+			continue
 		}
-	}
-	for _, id := range lost {
-		ts.forwarded.Remove(id)
-		n, known := ts.known[id]
-		if !known || n.Expired(now) {
+		// Forwarded but absent: lost in flight. Updating the record of
+		// the current key during the range is safe.
+		ts.setForwarded(id, false)
+		n := rec.n
+		if n.Expired(now) {
 			p.stats.ResumeLost++
 			if p.tracer != nil {
-				e := trace.Event{
-					Kind: trace.KindLost, Topic: topic, ID: id,
-					Cause: "lost in flight across a reconnect; content no longer recoverable",
-				}
-				if known {
-					e.Rank = n.Rank
-					if n.Trace != nil {
-						e.TraceID = n.Trace.TraceID
-					}
-				}
+				e := noteEvent(trace.KindLost, n)
+				e.Cause = "lost in flight across a reconnect; content no longer recoverable"
 				p.traceEvent(e)
 			}
 			continue
@@ -958,7 +974,7 @@ func (p *Proxy) Resume(topic string, have, read msg.IDSet) error {
 			removed = true
 		}
 		if removed {
-			ts.forwarded.Add(id)
+			ts.setForwarded(id, true)
 		}
 	}
 
@@ -1052,7 +1068,7 @@ func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 			break
 		}
 		batch = append(batch, ev)
-		if !ts.forwarded.Contains(ev.ID) {
+		if !ts.known[ev.ID].forwarded {
 			newCount++
 		}
 	}
@@ -1068,7 +1084,7 @@ func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 				break
 			}
 			batch = append(batch, ev)
-			if !ts.forwarded.Contains(ev.ID) {
+			if !ts.known[ev.ID].forwarded {
 				newCount++
 			}
 		}
@@ -1108,7 +1124,7 @@ func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 	}
 	for i, ev := range batch {
 		p.stats.Forwards++
-		signal := ts.forwarded.Contains(ev.ID)
+		signal := ts.known[ev.ID].forwarded
 		if p.tracer != nil {
 			e := noteEvent(trace.KindForward, ev)
 			e.Count = len(batch)
@@ -1128,7 +1144,7 @@ func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 			p.stats.RankDropSignals++
 			continue
 		}
-		ts.forwarded.Add(ev.ID)
+		ts.setForwarded(ev.ID, true)
 		ts.queueSize++
 	}
 }
@@ -1146,7 +1162,7 @@ func (p *Proxy) doForward(ts *topicState, ev *msg.Notification, origin *rankedq.
 		return false
 	}
 	p.stats.Forwards++
-	signal := ts.forwarded.Contains(ev.ID)
+	signal := ts.known[ev.ID].forwarded
 	if p.tracer != nil {
 		e := noteEvent(trace.KindForward, ev)
 		e.Queue = queueLabel(ts, origin)
@@ -1164,7 +1180,7 @@ func (p *Proxy) doForward(ts *topicState, ev *msg.Notification, origin *rankedq.
 		p.stats.RankDropSignals++
 		return true
 	}
-	ts.forwarded.Add(ev.ID)
+	ts.setForwarded(ev.ID, true)
 	ts.queueSize++
 	return true
 }
@@ -1270,7 +1286,7 @@ func (p *Proxy) Snapshot(topic string) (TopicSnapshot, bool) {
 		Prefetch:            ts.prefetch.Len(),
 		Holding:             ts.holding.Len(),
 		Delayed:             len(ts.delayed),
-		Forwarded:           ts.forwarded.Len(),
+		Forwarded:           ts.forwarded,
 		History:             ts.history.Len(),
 		QueueSizeView:       ts.queueSize,
 		PrefetchLimit:       ts.prefetchLimit,

@@ -59,19 +59,19 @@ func (p *Proxy) Export() *ProxySnapshot {
 		// History order carries the content list so Import can replay
 		// remember() calls and reproduce the same eviction order.
 		for _, id := range st.History {
-			n, ok := ts.known[id]
-			if !ok {
-				continue // history and known are kept in lockstep; be safe
-			}
-			st.Notifications = append(st.Notifications, n)
-			if n.Trace != nil {
+			e := ts.known[id]
+			st.Notifications = append(st.Notifications, e.n)
+			if e.n.Trace != nil {
 				if st.Traces == nil {
 					st.Traces = make(map[msg.ID]*msg.TraceContext)
 				}
-				st.Traces[id] = n.Trace
+				st.Traces[id] = e.n.Trace
+			}
+			if e.forwarded {
+				st.Forwarded = append(st.Forwarded, id)
 			}
 		}
-		st.Forwarded = sortedIDs(ts.forwarded)
+		sort.Slice(st.Forwarded, func(i, j int) bool { return st.Forwarded[i] < st.Forwarded[j] })
 		for id := range ts.expiryTimer {
 			st.ExpiryArmed = append(st.ExpiryArmed, id)
 		}
@@ -92,18 +92,6 @@ func exportInterval(ia *stats.IntervalAverage) msg.IntervalSnapshot {
 		Last:    last,
 		HasLast: hasLast,
 	}
-}
-
-func sortedIDs(set msg.IDSet) []msg.ID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]msg.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Import rebuilds the proxy from a snapshot. The proxy must be freshly
@@ -139,10 +127,16 @@ func (p *Proxy) Import(snap *ProxySnapshot) error {
 			if !ok {
 				return fmt.Errorf("import: topic %q history ID %s has no content", st.Topic, id)
 			}
+			if _, dup := ts.known[id]; dup {
+				return fmt.Errorf("import: topic %q history ID %s repeated", st.Topic, id)
+			}
 			p.remember(ts, n)
 		}
 		for _, id := range st.Forwarded {
-			ts.forwarded.Add(id)
+			if _, ok := ts.known[id]; !ok {
+				return fmt.Errorf("import: topic %q forwarded ID %s not in history", st.Topic, id)
+			}
+			ts.setForwarded(id, true)
 		}
 		for _, q := range []struct {
 			ids  []msg.ID
@@ -154,11 +148,11 @@ func (p *Proxy) Import(snap *ProxySnapshot) error {
 			{st.Holding, ts.holding, "holding"},
 		} {
 			for _, id := range q.ids {
-				n, ok := ts.known[id]
+				e, ok := ts.known[id]
 				if !ok {
 					return fmt.Errorf("import: topic %q %s queue ID %s not in history", st.Topic, q.name, id)
 				}
-				p.mustPush(q.dst, n)
+				p.mustPush(q.dst, e.n)
 			}
 		}
 		for _, e := range st.Delayed {
@@ -176,12 +170,12 @@ func (p *Proxy) Import(snap *ProxySnapshot) error {
 			ts.delayed[id] = t
 		}
 		for _, id := range st.ExpiryArmed {
-			n, ok := ts.known[id]
+			e, ok := ts.known[id]
 			if !ok {
 				return fmt.Errorf("import: topic %q expiry ID %s not in history", st.Topic, id)
 			}
 			id := id
-			ts.expiryTimer[id] = p.sched.Schedule(n.Expires.Sub(now), func() { p.expirationTimeout(ts, id) })
+			ts.expiryTimer[id] = p.sched.Schedule(e.n.Expires.Sub(now), func() { p.expirationTimeout(ts, id) })
 		}
 
 		ts.queueSize = st.QueueSize
@@ -231,9 +225,9 @@ func (p *Proxy) Shutdown() {
 			t.Cancel()
 			delete(ts.expiryTimer, id)
 		}
-		for id, n := range ts.known {
+		for id, e := range ts.known {
 			delete(ts.known, id)
-			p.releaseNote(n)
+			p.releaseNote(e.n)
 		}
 	}
 	p.topics = make(map[string]*topicState)

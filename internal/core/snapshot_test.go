@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -109,9 +110,86 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// The trace context survived through the sidecar.
 	ts2 := p2.topics["buf"]
-	n, ok := ts2.known["b3"]
-	if !ok || n.Trace == nil || n.Trace.TraceID != "trace-b3" {
+	n := ts2.known["b3"].n
+	if n == nil || n.Trace == nil || n.Trace.TraceID != "trace-b3" {
 		t.Errorf("trace context lost: %+v", n)
+	}
+}
+
+// TestSnapshotRoundTripEvictingHistory: Export → Import → Export is
+// lossless for a topic whose history has evicted events and holds both
+// forwarded and unforwarded records, and the imported table keeps the
+// lockstep rule.
+func TestSnapshotRoundTripEvictingHistory(t *testing.T) {
+	sched := newTestClock(t0)
+	p := New(sched, &fakeDevice{})
+	cfg := BufferConfig("t", 4, 6)
+	cfg.HistoryLimit = 10
+	if err := p.AddTopic(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		p.Notify(&msg.Notification{ID: msg.ID(fmt.Sprintf("e%02d", i)), Topic: "t", Rank: float64(i % 7), Published: sched.Now()})
+		sched.Advance(time.Second)
+	}
+	// The first forwards were evicted; a read frees room on the device so
+	// the prefetch refill forwards some of the remembered events.
+	if err := p.Read(msg.ReadRequest{Topic: "t", N: 4, QueueSize: 6}); err != nil {
+		t.Fatal(err)
+	}
+	ts := p.topics["t"]
+	if s := mustSnapshot(t, p, "t"); s.History != 10 || s.Forwarded == 0 || s.Forwarded == s.History {
+		t.Fatalf("fixture: want a full history of 10 with some but not all forwarded, got %+v", s)
+	}
+	checkEventTable(t, ts, 0)
+
+	blob, err := json.Marshal(p.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded ProxySnapshot
+	if err := json.Unmarshal(blob, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	p2 := New(newTestClock(sched.Now()), &fakeDevice{})
+	p2.SetNetwork(false)
+	if err := p2.Import(&decoded); err != nil {
+		t.Fatalf("Import: %v", err)
+	}
+	checkEventTable(t, p2.topics["t"], 1)
+	if a, b := mustSnapshot(t, p, "t"), mustSnapshot(t, p2, "t"); a != b {
+		t.Errorf("topic drift:\n %+v\n %+v", a, b)
+	}
+	blob2, err := json.Marshal(p2.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != string(blob2) {
+		t.Errorf("round-trip drift:\n before: %s\n  after: %s", blob, blob2)
+	}
+}
+
+func mustSnapshot(t *testing.T, p *Proxy, topic string) TopicSnapshot {
+	t.Helper()
+	s, ok := p.Snapshot(topic)
+	if !ok {
+		t.Fatalf("topic %q not registered", topic)
+	}
+	return s
+}
+
+// TestImportRejectsBrokenEventTable: a forwarded ID outside the history,
+// or a history ID listed twice, would break the table's lockstep rule.
+func TestImportRejectsBrokenEventTable(t *testing.T) {
+	a := &msg.Notification{ID: "a", Topic: "t", Rank: 1}
+	for name, st := range map[string]msg.TopicState{
+		"dangling forwarded ID": {Topic: "t", Forwarded: []msg.ID{"ghost"}},
+		"repeated history ID":   {Topic: "t", History: []msg.ID{"a", "a"}, Notifications: []*msg.Notification{a}},
+	} {
+		snap := &ProxySnapshot{Topics: []TopicDurable{{Config: OnDemandConfig("t", 4), State: st}}}
+		if err := New(newTestClock(t0), &fakeDevice{}).Import(snap); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

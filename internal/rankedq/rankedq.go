@@ -1,7 +1,7 @@
 // Package rankedq provides the queue structures used by the last-hop proxy
 // algorithm: a rank-ordered queue with removal by notification ID, an
 // expiration index that surfaces stale notifications in expiry order, and a
-// bounded history of seen events.
+// bounded arrival-order history of seen events.
 //
 // All structures are single-goroutine data structures: the proxy serializes
 // access to them through its scheduler, so they carry no locks.
@@ -411,111 +411,47 @@ func (x *ExpiryIndex) PopExpired(now time.Time) []msg.ID {
 	return out
 }
 
-// History is the bounded, insertion-ordered record of events a topic has
+// History is the bounded, arrival-ordered record of events a topic has
 // seen (the pseudo-code's topic.history). The paper notes that the history
 // "grows without bounds" and leaves garbage collection unimplemented; here
-// a capacity bound evicts the oldest entries.
+// a capacity bound evicts the oldest entries. History keeps order only:
+// the caller owns membership and Adds each ID at most once.
 type History struct {
 	capacity int
-	order    []msg.ID
-	head     int
-	set      msg.IDSet
-	// evictScratch backs Add's evicted return value so the steady-state
-	// add-evict cycle does not allocate a slice per insertion.
-	evictScratch []msg.ID
+	// ring holds the IDs oldest first from head, wrapping around. It grows
+	// by append until it reaches capacity and is overwritten in place from
+	// then on, so a full history never reallocates.
+	ring []msg.ID
+	head int
 }
 
 // NewHistory returns a history bounded to the given capacity; capacity <= 0
 // means unbounded.
 func NewHistory(capacity int) *History {
-	return &History{capacity: capacity, set: make(msg.IDSet)}
+	return &History{capacity: capacity}
 }
 
 // Len returns the number of remembered IDs.
-func (h *History) Len() int { return len(h.set) }
+func (h *History) Len() int { return len(h.ring) }
 
-// Contains reports whether the ID is remembered.
-func (h *History) Contains(id msg.ID) bool { return h.set.Contains(id) }
-
-// Add remembers an ID, evicting the oldest entries beyond capacity. It
-// returns the evicted IDs (usually empty) and whether id was new. The
-// evicted slice is reused by the next Add: consume it before then.
-func (h *History) Add(id msg.ID) (evicted []msg.ID, added bool) {
-	if h.set.Contains(id) {
-		return nil, false
+// Add remembers a new ID. When the history is full it evicts the oldest
+// ID, which it returns with ok true.
+func (h *History) Add(id msg.ID) (evicted msg.ID, ok bool) {
+	if h.capacity <= 0 || len(h.ring) < h.capacity {
+		h.ring = append(h.ring, id)
+		return msg.NoID, false
 	}
-	h.set.Add(id)
-	h.order = append(h.order, id)
-	if h.capacity > 0 {
-		evicted = h.evictScratch[:0]
-		for len(h.set) > h.capacity {
-			old := h.order[h.head]
-			h.order[h.head] = msg.NoID
-			h.head++
-			if h.set.Remove(old) {
-				evicted = append(evicted, old)
-			}
-		}
-		h.compact()
-		h.evictScratch = evicted[:0]
-	}
+	evicted = h.ring[h.head]
+	h.ring[h.head] = id
+	h.head = (h.head + 1) % len(h.ring)
 	return evicted, true
 }
 
-// Remove forgets an ID, reporting whether it was remembered. The order
-// slot is lazily reclaimed.
-func (h *History) Remove(id msg.ID) bool {
-	if !h.set.Remove(id) {
-		return false
-	}
-	return true
-}
-
-// compact reclaims the consumed prefix of the order slice once it dominates
-// the backing array, keeping Add amortized O(1). The shift is in place so
-// the steady-state add-evict cycle reuses one backing array instead of
-// reallocating it every half-rotation; the vacated tail is cleared so
-// evicted IDs do not pin their strings.
-func (h *History) compact() {
-	if h.head > len(h.order)/2 && h.head > 32 {
-		n := copy(h.order, h.order[h.head:])
-		tail := h.order[n:]
-		for i := range tail {
-			tail[i] = msg.NoID
-		}
-		h.order = h.order[:n]
-		h.head = 0
-	}
-}
-
-// IDs returns the remembered IDs in insertion order, oldest first.
+// IDs returns the remembered IDs in arrival order, oldest first.
 // Re-Adding them in this order into a fresh History of the same capacity
 // reproduces the eviction state exactly.
 func (h *History) IDs() []msg.ID {
-	// Walk backward so an ID Removed and later re-Added surfaces at its
-	// newest insertion slot, not its stale one, then reverse into
-	// insertion order.
-	out := make([]msg.ID, 0, len(h.set))
-	seen := make(msg.IDSet, len(h.set))
-	for i := len(h.order) - 1; i >= h.head; i-- {
-		id := h.order[i]
-		if id != msg.NoID && h.set.Contains(id) && seen.Add(id) {
-			out = append(out, id)
-		}
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-// Oldest returns the oldest remembered ID, if any.
-func (h *History) Oldest() (msg.ID, bool) {
-	for i := h.head; i < len(h.order); i++ {
-		id := h.order[i]
-		if id != msg.NoID && h.set.Contains(id) {
-			return id, true
-		}
-	}
-	return msg.NoID, false
+	out := make([]msg.ID, 0, len(h.ring))
+	out = append(out, h.ring[h.head:]...)
+	return append(out, h.ring[:h.head]...)
 }

@@ -3,6 +3,7 @@ package rankedq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -337,110 +338,97 @@ func TestExpiryIndexProperty(t *testing.T) {
 }
 
 func TestHistoryUnbounded(t *testing.T) {
-	h := NewHistory(0)
-	if evicted, added := h.Add("a"); len(evicted) != 0 || !added {
-		t.Error("first Add wrong")
-	}
-	if _, added := h.Add("a"); added {
-		t.Error("duplicate Add reported added")
-	}
-	if !h.Contains("a") || h.Contains("b") {
-		t.Error("Contains wrong")
-	}
-	if h.Len() != 1 {
-		t.Errorf("Len = %d", h.Len())
+	for _, capacity := range []int{0, -1} {
+		h := NewHistory(capacity)
+		var want []msg.ID
+		for i := 0; i < 1000; i++ {
+			id := msg.ID(fmt.Sprintf("u%04d", i))
+			if evicted, ok := h.Add(id); ok {
+				t.Fatalf("capacity %d: Add(%s) evicted %s", capacity, id, evicted)
+			}
+			want = append(want, id)
+		}
+		if h.Len() != len(want) || !slices.Equal(h.IDs(), want) {
+			t.Errorf("capacity %d: Len %d, IDs %v; want all %d in arrival order", capacity, h.Len(), h.IDs(), len(want))
+		}
 	}
 }
 
 func TestHistoryEviction(t *testing.T) {
 	h := NewHistory(3)
 	for _, id := range []msg.ID{"a", "b", "c"} {
-		if evicted, _ := h.Add(id); len(evicted) != 0 {
-			t.Fatalf("premature eviction %v", evicted)
+		if evicted, ok := h.Add(id); ok {
+			t.Fatalf("premature eviction of %s", evicted)
 		}
 	}
-	evicted, added := h.Add("d")
-	if !added || len(evicted) != 1 || evicted[0] != "a" {
-		t.Fatalf("Add(d) evicted %v, added %v; want [a], true", evicted, added)
+	// Each Add past capacity evicts exactly the oldest remaining ID.
+	for _, step := range []struct{ add, evicted msg.ID }{{"d", "a"}, {"e", "b"}, {"f", "c"}, {"g", "d"}} {
+		evicted, ok := h.Add(step.add)
+		if !ok || evicted != step.evicted {
+			t.Fatalf("Add(%s) evicted %q, %v; want %q", step.add, evicted, ok, step.evicted)
+		}
+		if h.Len() != 3 {
+			t.Errorf("Len = %d, want 3", h.Len())
+		}
 	}
-	if h.Contains("a") {
-		t.Error("evicted ID still contained")
-	}
-	if h.Len() != 3 {
-		t.Errorf("Len = %d, want 3", h.Len())
-	}
-	oldest, ok := h.Oldest()
-	if !ok || oldest != "b" {
-		t.Errorf("Oldest = %v, %v; want b", oldest, ok)
-	}
-}
-
-func TestHistoryRemove(t *testing.T) {
-	h := NewHistory(0)
-	h.Add("a")
-	h.Add("b")
-	if !h.Remove("a") {
-		t.Error("Remove of member failed")
-	}
-	if h.Remove("a") {
-		t.Error("second Remove succeeded")
-	}
-	oldest, ok := h.Oldest()
-	if !ok || oldest != "b" {
-		t.Errorf("Oldest after Remove = %v, %v; want b", oldest, ok)
+	if got, want := h.IDs(), []msg.ID{"e", "f", "g"}; !slices.Equal(got, want) {
+		t.Errorf("IDs = %v, want %v", got, want)
 	}
 }
 
-// TestHistoryCapacityProperty: after any insertion sequence the history
-// holds at most capacity entries and they are the most recent distinct ones.
+// TestHistoryCapacityProperty: after any sequence of new IDs the history
+// holds the most recent min(n, capacity) in arrival order, has evicted the
+// rest oldest first, and replaying IDs() into a fresh history reproduces
+// the same state.
 func TestHistoryCapacityProperty(t *testing.T) {
-	f := func(ids []uint8, capRaw uint8) bool {
+	f := func(n uint16, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
 		h := NewHistory(capacity)
-		var model []msg.ID // naive FIFO set model of the same semantics
-		inModel := func(id msg.ID) bool {
-			for _, m := range model {
-				if m == id {
-					return true
-				}
+		var all, evicted []msg.ID
+		for i := 0; i < int(n%200); i++ {
+			id := msg.ID(fmt.Sprintf("p%03d", i))
+			all = append(all, id)
+			if old, ok := h.Add(id); ok {
+				evicted = append(evicted, old)
 			}
+		}
+		kept := all[max(0, len(all)-capacity):]
+		if h.Len() != len(kept) || !slices.Equal(h.IDs(), kept) || !slices.Equal(evicted, all[:len(all)-len(kept)]) {
 			return false
 		}
-		for _, b := range ids {
-			id := msg.ID(rune('a' + b%32))
-			h.Add(id)
-			if !inModel(id) {
-				model = append(model, id)
-				if len(model) > capacity {
-					model = model[1:]
-				}
-			}
+		replay := NewHistory(capacity)
+		for _, id := range h.IDs() {
+			replay.Add(id)
 		}
-		if h.Len() != len(model) {
-			return false
-		}
-		for _, id := range model {
-			if !h.Contains(id) {
-				return false
-			}
-		}
-		return true
+		next := msg.ID("next")
+		a, aok := h.Add(next)
+		b, bok := replay.Add(next)
+		return a == b && aok == bok && slices.Equal(h.IDs(), replay.IDs())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestHistoryCompaction: a full history churning through many IDs keeps
+// its storage at capacity; the ring is overwritten in place.
 func TestHistoryCompaction(t *testing.T) {
 	h := NewHistory(4)
-	for i := 0; i < 10000; i++ {
-		h.Add(msg.ID(rune('a'+i%26)) + msg.ID(rune('0'+(i/26)%10)) + msg.ID(rune('0'+(i/260)%10)) + msg.ID(rune('0'+(i/2600)%10)))
+	for i := 0; i < 4; i++ {
+		h.Add(msg.ID(fmt.Sprintf("c%05d", i)))
 	}
-	if h.Len() != 4 {
-		t.Errorf("Len = %d, want 4", h.Len())
+	ring := &h.ring[0]
+	for i := 4; i < 10000; i++ {
+		h.Add(msg.ID(fmt.Sprintf("c%05d", i)))
 	}
-	if len(h.order)-h.head > 64 {
-		t.Errorf("order slice not compacted: len=%d head=%d", len(h.order), h.head)
+	if h.Len() != 4 || len(h.ring) != 4 || cap(h.ring) != 4 {
+		t.Errorf("Len = %d, ring len %d cap %d; want 4, 4, 4", h.Len(), len(h.ring), cap(h.ring))
+	}
+	if &h.ring[0] != ring {
+		t.Error("full ring reallocated under churn")
+	}
+	if got, want := h.IDs(), []msg.ID{"c09996", "c09997", "c09998", "c09999"}; !slices.Equal(got, want) {
+		t.Errorf("IDs = %v, want %v", got, want)
 	}
 }
 
